@@ -2,16 +2,14 @@
 
 #include <chrono>
 #include <cstdio>
-#include <stdexcept>
+#include <utility>
 
 #include "check/oracle.hpp"
 #include "check/validate.hpp"
 #include "codegen/kernel_program.hpp"
+#include "driver/compile.hpp"
 #include "driver/job_pool.hpp"
 #include "obs/trace.hpp"
-#include "sched/ims.hpp"
-#include "sched/sms.hpp"
-#include "sched/tms.hpp"
 #include "spmt/address.hpp"
 #include "spmt/sim.hpp"
 #include "support/json.hpp"
@@ -37,68 +35,6 @@ std::uint64_t job_stream_seed(std::uint64_t batch_seed, std::size_t index) {
   return sm.next();
 }
 
-struct ScheduledLoop {
-  sched::Schedule schedule;
-  check::CheckOptions check_opts;  ///< TMS thresholds, or disabled for SMS/IMS
-  int mii = 0;
-};
-
-/// Reconstructs a schedule from a cache entry; nullopt when the entry is
-/// semantically corrupt (slots violating the modulo constraints).
-std::optional<ScheduledLoop> from_cache(const ir::Loop& loop, const machine::MachineModel& mach,
-                                        const ScheduleCache::Entry& e) {
-  sched::Schedule s(loop, mach, e.ii);
-  for (int v = 0; v < loop.num_instrs(); ++v) {
-    s.set_slot(v, e.slots[static_cast<std::size_t>(v)]);
-  }
-  if (s.validate().has_value()) return std::nullopt;
-  ScheduledLoop out{std::move(s), {}, e.mii};
-  out.check_opts.c_delay_threshold = e.c_delay_threshold;
-  out.check_opts.p_max = e.p_max;
-  return out;
-}
-
-std::optional<ScheduledLoop> schedule_fresh(const ir::Loop& loop,
-                                            const machine::MachineModel& mach,
-                                            const machine::SpmtConfig& cfg,
-                                            const std::string& scheduler) {
-  if (scheduler == "sms") {
-    if (auto r = sched::sms_schedule(loop, mach)) {
-      return ScheduledLoop{std::move(r->schedule), {}, r->mii};
-    }
-    return std::nullopt;
-  }
-  if (scheduler == "ims") {
-    if (auto r = sched::ims_schedule(loop, mach)) {
-      return ScheduledLoop{std::move(r->schedule), {}, r->mii};
-    }
-    return std::nullopt;
-  }
-  if (scheduler == "tms") {
-    if (auto r = sched::tms_schedule(loop, mach, cfg)) {
-      ScheduledLoop out{std::move(r->schedule), {}, r->mii};
-      out.check_opts.c_delay_threshold = r->c_delay_threshold;
-      out.check_opts.p_max = r->p_max;
-      return out;
-    }
-    return std::nullopt;
-  }
-  throw std::invalid_argument("unknown scheduler '" + scheduler + "'");
-}
-
-ScheduleCache::Entry to_entry(const ScheduledLoop& sl, const std::string& scheduler) {
-  ScheduleCache::Entry e;
-  e.scheduler = scheduler;
-  e.ii = sl.schedule.ii();
-  e.mii = sl.mii;
-  e.c_delay_threshold = sl.check_opts.c_delay_threshold;
-  e.p_max = sl.check_opts.p_max;
-  const int n = sl.schedule.loop().num_instrs();
-  e.slots.reserve(static_cast<std::size_t>(n));
-  for (int v = 0; v < n; ++v) e.slots.push_back(sl.schedule.slot(v));
-  return e;
-}
-
 JobResult run_single(const BatchJob& job, const machine::MachineModel& mach,
                      const BatchOptions& opts, ScheduleCache* cache, std::size_t index) {
   const Clock::time_point start = Clock::now();
@@ -114,95 +50,38 @@ JobResult run_single(const BatchJob& job, const machine::MachineModel& mach,
   JobResult r;
   r.name = job.name;
   r.scheduler = job.scheduler;
+  const auto finish = [&](JobStatus status, std::string detail) {
+    r.status = status;
+    r.detail = std::move(detail);
+    r.wall_ms = ms_since(start);
+    return std::move(r);
+  };
   try {
     if (const auto err = job.loop.validate()) {
-      r.status = JobStatus::kError;
-      r.detail = "malformed loop: " + *err;
-      r.wall_ms = ms_since(start);
-      return r;
+      return finish(JobStatus::kError, "malformed loop: " + *err);
     }
 
-    std::optional<ScheduledLoop> sl;
-    std::uint64_t key = 0;
-    if (cache != nullptr) {
-      key = ScheduleCache::key(job.loop, mach, job.cfg, job.scheduler);
-      if (const auto entry = cache->lookup(key, job.loop.num_instrs())) {
-        sl = from_cache(job.loop, mach, *entry);
-        r.cache_hit = sl.has_value();
-        // A well-formed but semantically corrupt entry falls through to
-        // a fresh schedule below and is overwritten on insert.
-      }
-      obs::counters().driver_cache_hits.add(sl.has_value() ? 1 : 0);
-      obs::counters().driver_cache_misses.add(sl.has_value() ? 0 : 1);
+    // Cache hits are validated even with opts.validate off (compile.hpp).
+    const CompileRequest in{job.loop, mach, job.cfg, job.scheduler, cache};
+    const CompileResult c = compile(in, opts.validate);
+    if (c.status == CompileStatus::kScheduleFail) {
+      return finish(JobStatus::kScheduleFail, c.detail);
     }
-    if (!sl.has_value()) {
-      sl = schedule_fresh(job.loop, mach, job.cfg, job.scheduler);
-      if (!sl.has_value()) {
-        r.status = JobStatus::kScheduleFail;
-        r.detail = job.scheduler + " found no schedule";
-        r.wall_ms = ms_since(start);
-        return r;
-      }
-      if (cache != nullptr) {
-        cache->insert(key, to_entry(*sl, job.scheduler));
-        obs::counters().driver_schedules_cached.add(1);
-      }
-    }
-
-    r.metrics = sched::measure(sl->schedule, job.cfg);
-
-    // Cache hits are always re-validated, even with opts.validate off:
-    // reconstruction already proved the modulo constraints, but the full
-    // checker also covers resources, normalisation and the thresholds —
-    // the defence against semantic disk corruption.
-    if (opts.validate || r.cache_hit) {
-      const check::CheckReport valid =
-          check::validate_schedule(sl->schedule, job.cfg, sl->check_opts);
-      if (!valid.ok()) {
-        if (r.cache_hit) {
-          // Corrupt cached entry that still satisfied the dependence
-          // constraints: recompute from scratch, once.
-          r.cache_hit = false;
-          sl = schedule_fresh(job.loop, mach, job.cfg, job.scheduler);
-          if (!sl.has_value()) {
-            r.status = JobStatus::kScheduleFail;
-            r.detail = job.scheduler + " found no schedule";
-            r.wall_ms = ms_since(start);
-            return r;
-          }
-          if (cache != nullptr) {
-            cache->insert(key, to_entry(*sl, job.scheduler));
-            obs::counters().driver_schedules_cached.add(1);
-          }
-          r.metrics = sched::measure(sl->schedule, job.cfg);
-          const check::CheckReport revalid =
-              check::validate_schedule(sl->schedule, job.cfg, sl->check_opts);
-          if (!revalid.ok()) {
-            r.status = JobStatus::kValidateFail;
-            r.detail = "validator: " + revalid.to_string();
-            r.wall_ms = ms_since(start);
-            return r;
-          }
-        } else {
-          r.status = JobStatus::kValidateFail;
-          r.detail = "validator: " + valid.to_string();
-          r.wall_ms = ms_since(start);
-          return r;
-        }
-      }
+    const Compiled& sl = *c.compiled;
+    r.cache_hit = c.cache_hit;
+    r.metrics = sched::measure(sl.schedule, job.cfg);
+    if (c.status == CompileStatus::kValidateFail) {
+      return finish(JobStatus::kValidateFail, c.detail);
     }
 
     const bool need_kernel = opts.validate || opts.simulate_iterations > 0;
     if (need_kernel) {
-      const codegen::KernelProgram kp = codegen::lower_kernel(sl->schedule, job.cfg);
+      const codegen::KernelProgram kp = codegen::lower_kernel(sl.schedule, job.cfg);
       if (opts.validate) {
         const check::CheckReport lowered =
-            check::validate_kernel_program(kp, sl->schedule, job.cfg);
+            check::validate_kernel_program(kp, sl.schedule, job.cfg);
         if (!lowered.ok()) {
-          r.status = JobStatus::kValidateFail;
-          r.detail = "kernel program: " + lowered.to_string();
-          r.wall_ms = ms_since(start);
-          return r;
+          return finish(JobStatus::kValidateFail, "kernel program: " + lowered.to_string());
         }
       }
       if (opts.simulate_iterations > 0) {
@@ -224,25 +103,15 @@ JobResult run_single(const BatchJob& job, const machine::MachineModel& mach,
       oopts.iterations = opts.oracle_iterations;
       oopts.stream_seed = job_stream_seed(opts.seed ^ 0x07ac1e0ULL, index);
       const check::OracleReport oracle =
-          check::run_differential_oracle(job.loop, sl->schedule, job.cfg, oopts);
-      if (!oracle.ok()) {
-        r.status = JobStatus::kOracleFail;
-        r.detail = "oracle: " + oracle.to_string();
-        r.wall_ms = ms_since(start);
-        return r;
-      }
+          check::run_differential_oracle(job.loop, sl.schedule, job.cfg, oopts);
+      if (!oracle.ok()) return finish(JobStatus::kOracleFail, "oracle: " + oracle.to_string());
     }
-
-    r.status = JobStatus::kOk;
+    return finish(JobStatus::kOk, {});
   } catch (const std::exception& ex) {
-    r.status = JobStatus::kError;
-    r.detail = ex.what();
+    return finish(JobStatus::kError, ex.what());
   } catch (...) {
-    r.status = JobStatus::kError;
-    r.detail = "unknown exception";
+    return finish(JobStatus::kError, "unknown exception");
   }
-  r.wall_ms = ms_since(start);
-  return r;
 }
 
 void emit_result(support::JsonWriter& w, const JobResult& r, bool include_volatile) {

@@ -1,11 +1,12 @@
 // Parallel batch-compilation driver.
 //
-// Runs the full per-loop pipeline — schedule (SMS/IMS/TMS), measure,
-// independently validate (check/validate), lower, cross-check the kernel
-// program, optionally simulate on the SpMT machine and run the
-// differential oracle — over a batch of (loop, config, scheduler) jobs
-// on a work-stealing JobPool, consulting a content-addressed
-// ScheduleCache so repeated sweeps hit instead of recompute.
+// Runs the full per-loop pipeline — compile (driver/compile.hpp: cache
+// lookup, SMS/IMS/TMS on a miss, independent validation), measure,
+// lower, cross-check the kernel program, optionally simulate on the
+// SpMT machine and run the differential oracle — over a batch of
+// (loop, config, scheduler) jobs on a work-stealing JobPool, consulting
+// a content-addressed ScheduleCache so repeated sweeps hit instead of
+// recompute.
 //
 // Determinism contract: BatchReport::to_json(/*include_volatile=*/false)
 // is a pure function of the jobs and options — byte-identical across

@@ -1,6 +1,8 @@
 #include "policy/policy.hpp"
 
 #include <algorithm>
+#include <charconv>
+#include <climits>
 #include <vector>
 
 #include "obs/counters.hpp"
@@ -152,6 +154,70 @@ bool policy_from_string(std::string_view s, machine::AllocPolicy& out) {
     return false;
   }
   return true;
+}
+
+const char kMachineFlagsUsage[] =
+    "          [--ncore N] [--policy modulo|round_robin_stride|locality|dep_distance]\n"
+    "          [--policy-stride N] [--policy-block N] [--bus-bytes N] [--bus-bandwidth N]\n";
+
+namespace {
+
+/// The integer machine knobs: flag, name, field and range — the one place
+/// these bounds are written.
+struct IntKnob {
+  std::string_view flag;
+  const char* name;
+  int machine::SpmtConfig::*field;
+  int lo, hi;
+};
+
+constexpr IntKnob kIntKnobs[] = {
+    {"--ncore", "ncore", &machine::SpmtConfig::ncore, 1, 1024},
+    {"--policy-stride", "policy_stride", &machine::SpmtConfig::policy_stride, 1, INT_MAX},
+    {"--policy-block", "policy_block", &machine::SpmtConfig::policy_block, 1, INT_MAX},
+    {"--bus-bytes", "bus_bytes_per_transfer", &machine::SpmtConfig::bus_bytes_per_transfer, 0,
+     INT_MAX},
+    {"--bus-bandwidth", "bus_bytes_per_cycle", &machine::SpmtConfig::bus_bytes_per_cycle, 1,
+     INT_MAX},
+};
+
+}  // namespace
+
+bool is_machine_flag(std::string_view flag) {
+  return flag == "--policy" || std::any_of(std::begin(kIntKnobs), std::end(kIntKnobs),
+                                           [&](const IntKnob& k) { return k.flag == flag; });
+}
+
+std::optional<std::string> parse_machine_flag(std::string_view flag, std::string_view value,
+                                              machine::SpmtConfig& cfg) {
+  if (flag == "--policy") {
+    if (policy_from_string(value, cfg.policy)) return std::nullopt;
+    return "unknown policy '" + std::string(value) + "'";
+  }
+  for (const IntKnob& k : kIntKnobs) {
+    if (k.flag != flag) continue;
+    const char* last = value.data() + value.size();
+    const auto [end, ec] = std::from_chars(value.data(), last, cfg.*k.field);
+    if (value.empty() || ec != std::errc() || end != last) {
+      return std::string(flag) + ": '" + std::string(value) + "' is not an integer";
+    }
+    if (const auto err = machine_config_error(cfg)) return std::string(flag) + ": " + *err;
+    return std::nullopt;
+  }
+  return "unknown machine flag '" + std::string(flag) + "'";
+}
+
+std::optional<std::string> machine_config_error(const machine::SpmtConfig& cfg) {
+  for (const IntKnob& k : kIntKnobs) {
+    const int v = cfg.*k.field;
+    if (v < k.lo || v > k.hi) {
+      std::string out = std::string(k.name) + " " + std::to_string(v) + " out of range [" +
+                        std::to_string(k.lo) + ", ";
+      out += k.hi == INT_MAX ? std::string("inf)") : std::to_string(k.hi) + "]";
+      return out;
+    }
+  }
+  return std::nullopt;
 }
 
 }  // namespace tms::policy

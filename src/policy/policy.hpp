@@ -22,6 +22,8 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
+#include <string>
 #include <string_view>
 
 #include "ir/loop.hpp"
@@ -68,5 +70,33 @@ std::unique_ptr<CorePolicy> make_policy(const machine::SpmtConfig& cfg, const ir
 std::string_view to_string(machine::AllocPolicy p);
 /// Inverse of to_string; false when `s` names no policy.
 bool policy_from_string(std::string_view s, machine::AllocPolicy& out);
+
+// --- Machine flags ---------------------------------------------------------
+//
+// tmsc, tmsbatch, tmsd and loadgen take the same six machine flags
+// (--ncore, --policy, --policy-stride, --policy-block, --bus-bytes,
+// --bus-bandwidth), parse them here into a machine::SpmtConfig and print
+// kMachineFlagsUsage in their usage text. tmsd refuses --ncore: every
+// request carries its own.
+
+/// Usage lines for the six machine flags.
+extern const char kMachineFlagsUsage[];
+
+/// True when `flag` is one of the six machine flags.
+bool is_machine_flag(std::string_view flag);
+
+/// Stores the value of a machine flag into `cfg`.
+/// Returns a one-line error when the value is not a policy name or an
+/// integer, or when machine_config_error rejects it.
+std::optional<std::string> parse_machine_flag(std::string_view flag, std::string_view value,
+                                              machine::SpmtConfig& cfg);
+
+/// The ranges every machine knob a command line or a request can set must
+/// lie in: ncore 1..1024, policy_stride and policy_block >= 1,
+/// bus_bytes_per_transfer >= 0, bus_bytes_per_cycle >= 1. CompileService
+/// admission and parse_machine_flag both enforce them through this
+/// function. nullopt when every knob is in range, else the first
+/// violation, e.g. "ncore 0 out of range [1, 1024]".
+std::optional<std::string> machine_config_error(const machine::SpmtConfig& cfg);
 
 }  // namespace tms::policy

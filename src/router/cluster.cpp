@@ -32,26 +32,12 @@ std::optional<std::string> LocalCluster::start() {
     sopts.retry_after_ms = opts_.retry_after_ms;
     sopts.validate = opts_.validate;
     if (opts_.peer_fill && opts_.backends > 1 && shard->cache != nullptr) {
-      // All-to-all: ask every other shard in fixed order. One fresh
-      // connection per probe keeps the hook trivially thread-safe; a
-      // dead peer answers with a fast connect error and counts as a
-      // miss.
+      // All-to-all: ask every other shard in fixed order.
       std::vector<std::string> peers;
       for (int j = 0; j < opts_.backends; ++j) {
         if (j != i) peers.push_back(backend_sockets_[static_cast<std::size_t>(j)]);
       }
-      const int timeout_ms = opts_.peer_timeout_ms;
-      sopts.peer_fill = [peers, timeout_ms](std::uint64_t key, int expect_instrs)
-          -> std::optional<driver::ScheduleCache::Entry> {
-        for (const std::string& peer : peers) {
-          serve::Client client;
-          if (client.connect_unix(peer, timeout_ms).has_value()) continue;
-          std::optional<driver::ScheduleCache::Entry> entry;
-          if (client.peek({key, expect_instrs}, entry).has_value()) continue;
-          if (entry.has_value()) return entry;
-        }
-        return std::nullopt;
-      };
+      sopts.peer_fill = serve::peek_peers(std::move(peers), opts_.peer_timeout_ms);
     }
     shard->service =
         std::make_unique<serve::CompileService>(mach_, shard->cache.get(), sopts);

@@ -9,6 +9,7 @@
 #include "driver/schedule_cache.hpp"
 #include "obs/prometheus.hpp"
 #include "obs/trace.hpp"
+#include "serve/message.hpp"
 #include "support/json.hpp"
 #include "support/json_parse.hpp"
 
@@ -221,10 +222,10 @@ serve::Response Router::handle(const serve::Request& req, std::string_view /*pee
   }
 
   // The same content hash the shard's ScheduleCache will use — cache
-  // affinity is the entire routing policy.
-  machine::SpmtConfig cfg;
-  cfg.ncore = req.ncore;
-  const std::uint64_t key = driver::ScheduleCache::key(req.loop, mach_, cfg, req.scheduler);
+  // affinity is the entire routing policy. The router sees only what the
+  // request spells out, not a shard's --policy/--bus-* defaults.
+  const std::uint64_t key =
+      driver::ScheduleCache::key(req.loop, mach_, serve::request_config(req), req.scheduler);
   const std::vector<std::string> candidates =
       ring_.successors(key, static_cast<std::size_t>(1 + std::max(0, opts_.hedges)));
 
@@ -416,8 +417,8 @@ std::vector<Router::ShardStats> Router::fetch_shard_stats() const {
     serve::Client client;
     if (auto err = connect_client(client, b->address, opts_.probe_timeout_ms)) {
       s.error = std::move(*err);
-    } else if (auto err = client.stats(s.raw_json)) {
-      s.error = std::move(*err);
+    } else if (auto stats_err = client.stats(s.raw_json)) {
+      s.error = std::move(*stats_err);
     } else {
       auto parsed = support::parse_json(s.raw_json);
       if (auto* perr = std::get_if<std::string>(&parsed)) {

@@ -97,50 +97,4 @@ void ModuloReservationTable::remove(ir::Opcode op, int cycle) {
   }
 }
 
-// ---- ScalarReferenceMrt --------------------------------------------------
-
-ScalarReferenceMrt::ScalarReferenceMrt(const machine::MachineModel& mach, int ii)
-    : mach_(mach), ii_(ii), issue_used_(static_cast<std::size_t>(ii), 0) {
-  TMS_ASSERT(ii >= 1);
-  fu_used_.assign(ir::kNumFuClasses, std::vector<int>(static_cast<std::size_t>(ii), 0));
-}
-
-bool ScalarReferenceMrt::can_place(ir::Opcode op, int cycle) const {
-  const ir::FuClass c = ir::fu_class(op);
-  const int row = row_of(cycle);
-  if (c == ir::FuClass::kNone) return true;
-  if (issue_used_[static_cast<std::size_t>(row)] >= mach_.issue_width()) return false;
-  const int occ = mach_.occupancy(op);
-  if (occ > ii_) return false;
-  const int limit = mach_.fu_count(c);
-  for (int k = 0; k < occ; ++k) {
-    const int r = row_of(cycle + k);
-    if (fu_used_[static_cast<std::size_t>(c)][static_cast<std::size_t>(r)] >= limit) return false;
-  }
-  return true;
-}
-
-void ScalarReferenceMrt::place(ir::Opcode op, int cycle) {
-  TMS_ASSERT(can_place(op, cycle));
-  const ir::FuClass c = ir::fu_class(op);
-  if (c == ir::FuClass::kNone) return;
-  ++issue_used_[static_cast<std::size_t>(row_of(cycle))];
-  for (int k = 0; k < mach_.occupancy(op); ++k) {
-    ++fu_used_[static_cast<std::size_t>(c)][static_cast<std::size_t>(row_of(cycle + k))];
-  }
-}
-
-void ScalarReferenceMrt::remove(ir::Opcode op, int cycle) {
-  const ir::FuClass c = ir::fu_class(op);
-  if (c == ir::FuClass::kNone) return;
-  const int row = row_of(cycle);
-  TMS_ASSERT(issue_used_[static_cast<std::size_t>(row)] > 0);
-  --issue_used_[static_cast<std::size_t>(row)];
-  for (int k = 0; k < mach_.occupancy(op); ++k) {
-    const int r = row_of(cycle + k);
-    TMS_ASSERT(fu_used_[static_cast<std::size_t>(c)][static_cast<std::size_t>(r)] > 0);
-    --fu_used_[static_cast<std::size_t>(c)][static_cast<std::size_t>(r)];
-  }
-}
-
 }  // namespace tms::sched

@@ -15,12 +15,10 @@
 // probe is then one or two bit tests plus a word-wise scan for
 // non-pipelined ranges, instead of `occupancy` indexed count compares.
 // The counts remain authoritative; the bitmaps are derived on every
-// place/remove and only answer "full or not".
-//
-// ScalarReferenceMrt retains the original count-only implementation.
-// It is not used by any scheduler — it exists so tests/mrt_test.cpp can
-// assert, over randomized machine shapes and operation sequences, that
-// the bitmap fast path answers bit-for-bit like the scalar reference.
+// place/remove and only answer "full or not". tests/mrt_test.cpp keeps
+// the original count-only table as a reference and asserts, over
+// randomized machine shapes and operation sequences, that the bitmap
+// fast path answers bit-for-bit like it.
 #pragma once
 
 #include <array>
@@ -88,35 +86,6 @@ class ModuloReservationTable {
   std::vector<std::uint64_t> issue_full_;  ///< bit r: issue slots at row r exhausted
   std::vector<std::uint64_t> fu_full_;     ///< [class][word]; bit r: FU class full at row r
   std::array<int, ir::kNumFuClasses> fu_limit_{};  ///< cached unit counts
-};
-
-/// The pre-bitmap MRT, kept verbatim as the differential-testing
-/// reference for ModuloReservationTable (see file comment). Scalar
-/// per-row counts only; asymptotically slower probes, trivially correct.
-class ScalarReferenceMrt {
- public:
-  ScalarReferenceMrt(const machine::MachineModel& mach, int ii);
-
-  int ii() const { return ii_; }
-  int row_of(int cycle) const {
-    const int r = cycle % ii_;
-    return r < 0 ? r + ii_ : r;
-  }
-
-  bool can_place(ir::Opcode op, int cycle) const;
-  void place(ir::Opcode op, int cycle);
-  void remove(ir::Opcode op, int cycle);
-
-  int issue_used(int row) const { return issue_used_.at(static_cast<std::size_t>(row)); }
-  int fu_used(ir::FuClass c, int row) const {
-    return fu_used_[static_cast<std::size_t>(c)].at(static_cast<std::size_t>(row));
-  }
-
- private:
-  const machine::MachineModel& mach_;
-  int ii_;
-  std::vector<int> issue_used_;            ///< per row
-  std::vector<std::vector<int>> fu_used_;  ///< [class][row]
 };
 
 }  // namespace tms::sched

@@ -165,6 +165,33 @@ bool valid_request_id(std::string_view id) {
   return true;
 }
 
+machine::SpmtConfig request_config(const Request& req, const machine::SpmtConfig& defaults) {
+  const machine::SpmtConfig wire;
+  machine::SpmtConfig cfg;
+  cfg.ncore = req.ncore;
+  cfg.policy = req.policy != wire.policy ? req.policy : defaults.policy;
+  cfg.policy_stride =
+      req.policy_stride != wire.policy_stride ? req.policy_stride : defaults.policy_stride;
+  cfg.policy_block =
+      req.policy_block != wire.policy_block ? req.policy_block : defaults.policy_block;
+  cfg.bus_bytes_per_transfer = req.bus_bytes_per_transfer != wire.bus_bytes_per_transfer
+                                   ? req.bus_bytes_per_transfer
+                                   : defaults.bus_bytes_per_transfer;
+  cfg.bus_bytes_per_cycle = req.bus_bytes_per_cycle != wire.bus_bytes_per_cycle
+                                ? req.bus_bytes_per_cycle
+                                : defaults.bus_bytes_per_cycle;
+  return cfg;
+}
+
+void set_request_config(Request& req, const machine::SpmtConfig& cfg) {
+  req.ncore = cfg.ncore;
+  req.policy = cfg.policy;
+  req.policy_stride = cfg.policy_stride;
+  req.policy_block = cfg.policy_block;
+  req.bus_bytes_per_transfer = cfg.bus_bytes_per_transfer;
+  req.bus_bytes_per_cycle = cfg.bus_bytes_per_cycle;
+}
+
 std::string serialise_request(const Request& req) {
   std::string out(kRequestHeader);
   out += "\nid ";
@@ -246,19 +273,17 @@ std::variant<Request, std::string> parse_request(std::string_view payload) {
     } else if (key == "policy") {
       if (!policy::policy_from_string(value, req.policy)) return std::string("bad policy");
     } else if (key == "policy_stride") {
-      if (!parse_int(value, req.policy_stride) || req.policy_stride < 1) {
-        return std::string("bad policy_stride");
-      }
+      // Syntax only: like ncore, the machine knobs' ranges are checked at
+      // admission (policy::machine_config_error), once for every caller.
+      if (!parse_int(value, req.policy_stride)) return std::string("bad policy_stride");
     } else if (key == "policy_block") {
-      if (!parse_int(value, req.policy_block) || req.policy_block < 1) {
-        return std::string("bad policy_block");
-      }
+      if (!parse_int(value, req.policy_block)) return std::string("bad policy_block");
     } else if (key == "bus_bytes_per_transfer") {
-      if (!parse_int(value, req.bus_bytes_per_transfer) || req.bus_bytes_per_transfer < 0) {
+      if (!parse_int(value, req.bus_bytes_per_transfer)) {
         return std::string("bad bus_bytes_per_transfer");
       }
     } else if (key == "bus_bytes_per_cycle") {
-      if (!parse_int(value, req.bus_bytes_per_cycle) || req.bus_bytes_per_cycle < 1) {
+      if (!parse_int(value, req.bus_bytes_per_cycle)) {
         return std::string("bad bus_bytes_per_cycle");
       }
     } else if (key == "trace_id") {

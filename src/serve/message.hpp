@@ -63,7 +63,7 @@ bool valid_request_id(std::string_view id);
 
 enum class ErrorCode {
   kParse,         ///< malformed request payload
-  kBadRequest,    ///< well-formed but unacceptable (unknown scheduler, bad ncore)
+  kBadRequest,    ///< well-formed but unacceptable (unknown scheduler, machine knob out of range)
   kScheduleFail,  ///< the scheduler found no schedule
   kValidateFail,  ///< the independent validator rejected the schedule
   kDeadline,      ///< the request's deadline expired
@@ -113,6 +113,19 @@ struct Response {
   std::uint64_t trace_id = 0;
   std::uint64_t span_id = 0;
 };
+
+/// The machine configuration `req` asks for. ncore always comes from the
+/// request; a policy/bus field comes from the request when it differs
+/// from its wire default and from `defaults` (a server's --policy/--bus-*
+/// settings) otherwise — an omitted field parses back to the default, so
+/// "unspecified" and "explicitly default" coincide. Only those five
+/// terms are read from `defaults`; every other SpmtConfig field keeps its
+/// built-in default.
+machine::SpmtConfig request_config(const Request& req, const machine::SpmtConfig& defaults = {});
+
+/// Copies cfg's ncore, policy and bus terms into `req` (the inverse of
+/// request_config with the default `defaults`).
+void set_request_config(Request& req, const machine::SpmtConfig& cfg);
 
 std::string serialise_request(const Request& req);
 /// Returns the request or a one-line parse-error description.

@@ -4,14 +4,11 @@
 #include <optional>
 #include <utility>
 
-#include "check/validate.hpp"
 #include "codegen/kernel_program.hpp"
 #include "obs/counters.hpp"
 #include "obs/trace.hpp"
-#include "sched/ims.hpp"
-#include "sched/postpass.hpp"
-#include "sched/sms.hpp"
-#include "sched/tms.hpp"
+#include "policy/policy.hpp"
+#include "serve/client.hpp"
 #include "spmt/estimate.hpp"
 #include "support/json.hpp"
 
@@ -35,63 +32,21 @@ std::string hex16(std::uint64_t v) {
   return buf;
 }
 
-struct Scheduled {
-  sched::Schedule schedule;
-  check::CheckOptions check_opts;
-  int mii = 0;
-};
-
-std::optional<Scheduled> schedule_fresh(const ir::Loop& loop, const machine::MachineModel& mach,
-                                        const machine::SpmtConfig& cfg,
-                                        const std::string& scheduler) {
-  if (scheduler == "sms") {
-    if (auto r = sched::sms_schedule(loop, mach)) {
-      return Scheduled{std::move(r->schedule), {}, r->mii};
-    }
-    return std::nullopt;
-  }
-  if (scheduler == "ims") {
-    if (auto r = sched::ims_schedule(loop, mach)) {
-      return Scheduled{std::move(r->schedule), {}, r->mii};
-    }
-    return std::nullopt;
-  }
-  if (auto r = sched::tms_schedule(loop, mach, cfg)) {
-    Scheduled out{std::move(r->schedule), {}, r->mii};
-    out.check_opts.c_delay_threshold = r->c_delay_threshold;
-    out.check_opts.p_max = r->p_max;
-    return out;
-  }
-  return std::nullopt;
-}
-
-std::optional<Scheduled> from_cache(const ir::Loop& loop, const machine::MachineModel& mach,
-                                    const driver::ScheduleCache::Entry& e) {
-  sched::Schedule s(loop, mach, e.ii);
-  for (int v = 0; v < loop.num_instrs(); ++v) {
-    s.set_slot(v, e.slots[static_cast<std::size_t>(v)]);
-  }
-  if (s.validate().has_value()) return std::nullopt;
-  Scheduled out{std::move(s), {}, e.mii};
-  out.check_opts.c_delay_threshold = e.c_delay_threshold;
-  out.check_opts.p_max = e.p_max;
-  return out;
-}
-
-driver::ScheduleCache::Entry to_entry(const Scheduled& sl, const std::string& scheduler) {
-  driver::ScheduleCache::Entry e;
-  e.scheduler = scheduler;
-  e.ii = sl.schedule.ii();
-  e.mii = sl.mii;
-  e.c_delay_threshold = sl.check_opts.c_delay_threshold;
-  e.p_max = sl.check_opts.p_max;
-  const int n = sl.schedule.loop().num_instrs();
-  e.slots.reserve(static_cast<std::size_t>(n));
-  for (int v = 0; v < n; ++v) e.slots.push_back(sl.schedule.slot(v));
-  return e;
-}
-
 }  // namespace
+
+driver::PeerFillFn peek_peers(std::vector<std::string> peers, int timeout_ms) {
+  return [peers = std::move(peers), timeout_ms](std::uint64_t key, int expect_instrs)
+             -> std::optional<driver::ScheduleCache::Entry> {
+    for (const std::string& peer : peers) {
+      Client client;
+      if (client.connect_unix(peer, timeout_ms).has_value()) continue;
+      std::optional<driver::ScheduleCache::Entry> entry;
+      if (client.peek({key, expect_instrs}, entry).has_value()) continue;
+      if (entry.has_value()) return entry;
+    }
+    return std::nullopt;
+  };
+}
 
 CompileService::CompileService(const machine::MachineModel& mach, driver::ScheduleCache* cache,
                                ServiceOptions opts)
@@ -264,27 +219,22 @@ Response CompileService::admit(const Request& req, const std::string& request_id
     obs::counters().serve_drain_refused.add(1);
     return make_error(req.id, ErrorCode::kShutdown, "server is draining");
   }
-  if (req.scheduler != "sms" && req.scheduler != "ims" && req.scheduler != "tms") {
+  if (!driver::known_scheduler(req.scheduler)) {
     return make_error(req.id, ErrorCode::kBadRequest,
                       "unknown scheduler '" + req.scheduler + "'");
   }
-  if (req.ncore < 1 || req.ncore > 1024) {
-    return make_error(req.id, ErrorCode::kBadRequest, "ncore out of range");
-  }
-  if (req.policy_stride < 1 || req.policy_block < 1) {
-    return make_error(req.id, ErrorCode::kBadRequest, "policy parameters out of range");
-  }
-  if (req.bus_bytes_per_transfer < 0 || req.bus_bytes_per_cycle < 1) {
-    return make_error(req.id, ErrorCode::kBadRequest, "bus parameters out of range");
+  const machine::SpmtConfig cfg = request_config(req, opts_.machine_defaults);
+  if (const auto err = policy::machine_config_error(cfg)) {
+    return make_error(req.id, ErrorCode::kBadRequest, *err);
   }
 
   // Admission: never block on a full queue — answer overload right away.
   obs::counters().serve_queue_depth.record(pool_.queue_depth());
   auto out = std::make_shared<Response>();
   auto task = pool_.try_submit(
-      [this, &req, &request_id, out, start, deadline, has_deadline] {
+      [this, &req, &cfg, &request_id, out, start, deadline, has_deadline] {
         const std::int64_t queue_us = us_since(start);
-        *out = compile(req, request_id, queue_us, start, deadline, has_deadline);
+        *out = compile(req, cfg, request_id, queue_us, start, deadline, has_deadline);
       });
   if (task == nullptr) {
     obs::counters().serve_rejected_overload.add(1);
@@ -314,9 +264,10 @@ Response CompileService::admit(const Request& req, const std::string& request_id
   return std::move(*out);
 }
 
-Response CompileService::compile(const Request& req, const std::string& request_id,
-                                 std::int64_t queue_us, Clock::time_point start,
-                                 Clock::time_point deadline, bool has_deadline) const {
+Response CompileService::compile(const Request& req, const machine::SpmtConfig& cfg,
+                                 const std::string& request_id, std::int64_t queue_us,
+                                 Clock::time_point start, Clock::time_point deadline,
+                                 bool has_deadline) const {
   // Continue the caller's distributed trace (or run untraced when the
   // request carried no context): every span below — and any scheduler
   // spans nested deeper — lands in the request's trace, and the
@@ -352,106 +303,40 @@ Response CompileService::compile(const Request& req, const std::string& request_
     obs::counters().serve_deadline_missed.add(1);
     return fail(ErrorCode::kDeadline, std::string("deadline expired ") + stage, r);
   };
+  const auto compile_failed = [&](const driver::CompileResult& c, const Response& r) {
+    return fail(c.status == driver::CompileStatus::kScheduleFail ? ErrorCode::kScheduleFail
+                                                                   : ErrorCode::kValidateFail,
+                c.detail, r);
+  };
 
   if (const auto err = req.loop.validate()) {
     return fail(ErrorCode::kBadRequest, "malformed loop: " + *err, resp);
   }
   if (expired()) return deadline_response("before scheduling", resp);
 
-  machine::SpmtConfig cfg;
-  cfg.ncore = req.ncore;
-  // Request fields override the server defaults only where the request
-  // deviates from the wire defaults (an omitted field parses back to the
-  // default, so "unspecified" and "explicitly default" coincide).
-  cfg.policy = req.policy != machine::AllocPolicy::kModulo ? req.policy : opts_.policy;
-  cfg.policy_stride = req.policy_stride != 1 ? req.policy_stride : opts_.policy_stride;
-  cfg.policy_block = req.policy_block != 1 ? req.policy_block : opts_.policy_block;
-  cfg.bus_bytes_per_transfer = req.bus_bytes_per_transfer != 0 ? req.bus_bytes_per_transfer
-                                                               : opts_.bus_bytes_per_transfer;
-  cfg.bus_bytes_per_cycle =
-      req.bus_bytes_per_cycle != 16 ? req.bus_bytes_per_cycle : opts_.bus_bytes_per_cycle;
-
+  // The shared pipeline (driver/compile.hpp), in two halves so each gets
+  // its own span, stage timer and deadline check.
+  const driver::CompileRequest in{req.loop, mach_, cfg, req.scheduler, cache_, &opts_.peer_fill};
   const Clock::time_point sched_start = Clock::now();
-  std::optional<Scheduled> sl;
-  std::uint64_t key = 0;
+  driver::CompileResult c;
   {
     TMS_TRACE_SPAN(sched_span, "serve", "serve.schedule");
-    if (cache_ != nullptr) {
-      key = driver::ScheduleCache::key(req.loop, mach_, cfg, req.scheduler);
-      if (const auto entry = cache_->lookup(key, req.loop.num_instrs())) {
-        sl = from_cache(req.loop, mach_, *entry);
-        resp.cache_hit = sl.has_value();
-      }
-      obs::counters().driver_cache_hits.add(sl.has_value() ? 1 : 0);
-      obs::counters().driver_cache_misses.add(sl.has_value() ? 0 : 1);
-    }
-    // Local miss: before paying for a fresh scheduling pass, ask ring
-    // siblings whether one of them already computed this key (PEEK). A
-    // peer hit behaves exactly like a local cache hit — re-validated
-    // below, inserted locally so the next miss is local-warm.
-    if (!sl.has_value() && cache_ != nullptr && opts_.peer_fill) {
-      TMS_TRACE_SPAN(pf_span, "serve", "serve.peer_fill");
-      if (const auto entry = opts_.peer_fill(key, req.loop.num_instrs())) {
-        sl = from_cache(req.loop, mach_, *entry);
-      }
-      if (sl.has_value()) {
-        resp.cache_hit = true;
-        cache_->insert(key, to_entry(*sl, req.scheduler));
-        obs::counters().serve_peer_fill_hits.add(1);
-      } else {
-        obs::counters().serve_peer_fill_misses.add(1);
-      }
-      TMS_TRACE_SPAN_ARG(pf_span,
-                         obs::targ("hit", std::int64_t{sl.has_value() ? 1 : 0}));
-    }
-    if (!sl.has_value()) {
-      sl = schedule_fresh(req.loop, mach_, cfg, req.scheduler);
-      if (!sl.has_value()) {
-        resp.t_schedule_us = us_since(sched_start);
-        return fail(ErrorCode::kScheduleFail, req.scheduler + " found no schedule", resp);
-      }
-      if (cache_ != nullptr) {
-        cache_->insert(key, to_entry(*sl, req.scheduler));
-        obs::counters().driver_schedules_cached.add(1);
-      }
-    }
+    c = driver::compile_schedule(in);
   }
   resp.t_schedule_us = us_since(sched_start);
+  if (c.status != driver::CompileStatus::kOk) return compile_failed(c, resp);
   if (expired()) return deadline_response("after scheduling", resp);
 
-  // Cache hits are always re-validated (defence against semantic disk
-  // corruption), mirroring the batch driver's contract.
   const Clock::time_point validate_start = Clock::now();
-  if (opts_.validate || resp.cache_hit) {
+  if (driver::needs_validation(c, opts_.validate)) {
     TMS_TRACE_SPAN(val_span, "serve", "serve.validate");
-    const check::CheckReport valid =
-        check::validate_schedule(sl->schedule, cfg, sl->check_opts);
-    if (!valid.ok()) {
-      if (resp.cache_hit) {
-        resp.cache_hit = false;
-        sl = schedule_fresh(req.loop, mach_, cfg, req.scheduler);
-        if (!sl.has_value()) {
-          resp.t_validate_us = us_since(validate_start);
-          return fail(ErrorCode::kScheduleFail, req.scheduler + " found no schedule", resp);
-        }
-        if (cache_ != nullptr) {
-          cache_->insert(key, to_entry(*sl, req.scheduler));
-          obs::counters().driver_schedules_cached.add(1);
-        }
-        const check::CheckReport revalid =
-            check::validate_schedule(sl->schedule, cfg, sl->check_opts);
-        if (!revalid.ok()) {
-          resp.t_validate_us = us_since(validate_start);
-          return fail(ErrorCode::kValidateFail, "validator: " + revalid.to_string(), resp);
-        }
-      } else {
-        resp.t_validate_us = us_since(validate_start);
-        return fail(ErrorCode::kValidateFail, "validator: " + valid.to_string(), resp);
-      }
-    }
+    driver::compile_validate(in, c, opts_.validate);
   }
   resp.t_validate_us = us_since(validate_start);
+  if (c.status != driver::CompileStatus::kOk) return compile_failed(c, resp);
   if (expired()) return deadline_response("after validation", resp);
+  const driver::Compiled& sl = *c.compiled;
+  resp.cache_hit = c.cache_hit;
 
   // Simulator-backed verification (--sim-verify): a bounded run of the
   // event-driven engine over the lowered kernel must commit exactly the
@@ -461,7 +346,7 @@ Response CompileService::compile(const Request& req, const std::string& request_
   if (opts_.sim_verify) {
     TMS_TRACE_SPAN(sv_span, "serve", "serve.sim_verify");
     const Clock::time_point sv_start = Clock::now();
-    const codegen::KernelProgram kp = codegen::lower_kernel(sl->schedule, cfg);
+    const codegen::KernelProgram kp = codegen::lower_kernel(sl.schedule, cfg);
     spmt::QuickEstimateOptions qopts;
     qopts.iterations = opts_.sim_verify_iterations;
     const spmt::QuickEstimate qe = spmt::quick_estimate(req.loop, kp, cfg, qopts);
@@ -476,13 +361,13 @@ Response CompileService::compile(const Request& req, const std::string& request_
   }
 
   resp.ok = true;
-  resp.ii = sl->schedule.ii();
-  resp.mii = sl->mii;
-  resp.c_delay_threshold = sl->check_opts.c_delay_threshold;
-  resp.p_max = sl->check_opts.p_max;
+  resp.ii = sl.schedule.ii();
+  resp.mii = sl.mii;
+  resp.c_delay_threshold = sl.check_opts.c_delay_threshold;
+  resp.p_max = sl.check_opts.p_max;
   const int n = req.loop.num_instrs();
   resp.slots.reserve(static_cast<std::size_t>(n));
-  for (int v = 0; v < n; ++v) resp.slots.push_back(sl->schedule.slot(v));
+  for (int v = 0; v < n; ++v) resp.slots.push_back(sl.schedule.slot(v));
   resp.server_ms = ms_since(start);
   return resp;
 }

@@ -4,8 +4,9 @@
 // connection handler calls handle(request) and gets a Response back;
 // everything between — admission against a bounded queue, dispatch onto
 // a persistent driver::TaskPool, per-request deadline handling with
-// cooperative cancellation, consulting the process-wide ScheduleCache,
-// validation, and counter accounting — lives here, so it is testable
+// cooperative cancellation, the compile pipeline shared with the batch
+// driver (driver/compile.hpp: the process-wide ScheduleCache, peer fill,
+// validation), and counter accounting — lives here, so it is testable
 // without a socket in sight.
 //
 // Admission control is deliberate, not incidental (Yavits et al.: the
@@ -33,7 +34,9 @@
 #include <optional>
 #include <string>
 #include <string_view>
+#include <vector>
 
+#include "driver/compile.hpp"
 #include "driver/job_pool.hpp"
 #include "driver/schedule_cache.hpp"
 #include "machine/machine.hpp"
@@ -42,15 +45,6 @@
 #include "serve/message.hpp"
 
 namespace tms::serve {
-
-/// Cache peer-fill hook: given a schedule-cache key and the expected
-/// slot count, ask ring siblings (via Client::peek) whether one of them
-/// already holds the entry. Called on compile workers, concurrently;
-/// must be thread-safe. nullopt = no sibling had it (or none are
-/// configured), and the shard schedules fresh as before.
-using PeerFillFn =
-    std::function<std::optional<driver::ScheduleCache::Entry>(std::uint64_t key,
-                                                              int expect_instrs)>;
 
 struct ServiceOptions {
   int threads = 0;                  ///< compile workers; 0 = hardware_concurrency
@@ -66,7 +60,7 @@ struct ServiceOptions {
   /// Consulted on a local cache miss, before scheduling fresh. A hit is
   /// validated exactly like a local cache hit and inserted into the
   /// local cache (counted in serve.peer_fill_hits / _misses).
-  PeerFillFn peer_fill;
+  driver::PeerFillFn peer_fill;
   /// Simulator-backed verification (tmsd --sim-verify): after the
   /// validator passes, lower the kernel and run spmt::quick_estimate;
   /// the response is refused (kValidateFail) unless the simulated
@@ -77,14 +71,11 @@ struct ServiceOptions {
   /// (max(32, 8*ncore) capped at 256).
   std::int64_t sim_verify_iterations = 0;
   /// Server-side defaults for the core-allocation policy and shared-bus
-  /// machine terms (tmsd --policy / --bus-*). A request that carries its
-  /// own non-default value overrides the corresponding default for that
-  /// request only.
-  machine::AllocPolicy policy = machine::AllocPolicy::kModulo;
-  int policy_stride = 1;
-  int policy_block = 1;
-  int bus_bytes_per_transfer = 0;
-  int bus_bytes_per_cycle = 16;
+  /// machine terms (tmsd --policy / --bus-*); see serve::request_config
+  /// for how a request overrides them. Only policy, policy_stride,
+  /// policy_block, bus_bytes_per_transfer and bus_bytes_per_cycle are
+  /// read; every other field, ncore included, is ignored.
+  machine::SpmtConfig machine_defaults;
   /// Flight recorder the service writes one outcome record into per
   /// pipeline run (docs/SERVING.md, tmsd-flight-v1). Not owned; nullptr
   /// disables recording and makes the FLIGHT verb answer an empty dump.
@@ -95,6 +86,12 @@ struct ServiceOptions {
   /// job. Must be thread-safe.
   std::function<void()> on_slow;
 };
+
+/// The peer-fill hook tmsd --peer and router::LocalCluster install: PEEK
+/// each Unix socket in `peers`, in order. One fresh connection per probe
+/// keeps the hook trivially thread-safe; a dead peer answers with a fast
+/// connect error and counts as a miss.
+driver::PeerFillFn peek_peers(std::vector<std::string> peers, int timeout_ms);
 
 class CompileService : public Handler {
  public:
@@ -157,7 +154,8 @@ class CompileService : public Handler {
                  std::chrono::steady_clock::time_point start,
                  std::chrono::steady_clock::time_point deadline, bool has_deadline,
                  bool& pipeline_ran);
-  Response compile(const Request& req, const std::string& request_id, std::int64_t queue_us,
+  Response compile(const Request& req, const machine::SpmtConfig& cfg,
+                   const std::string& request_id, std::int64_t queue_us,
                    std::chrono::steady_clock::time_point start,
                    std::chrono::steady_clock::time_point deadline, bool has_deadline) const;
   void log_slow(const Request& req, const Response& resp, std::string_view peer);

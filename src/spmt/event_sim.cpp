@@ -198,10 +198,10 @@ class EventEngine {
     // instance left there, and the backpressure check can read such a
     // slot — identical aliasing requires an identical ring.
     ring_ = static_cast<std::int64_t>(std::max(max_dker, cfg.ring_queue_entries) + 2);
-    const std::size_t flat = ninstr * static_cast<std::size_t>(ring_);
-    values_flat_.assign(flat, 0);
-    completion_wall_.assign(flat, 0);
-    consume_wall_.assign(flat, 0);
+    const std::size_t wall_slots = ninstr * static_cast<std::size_t>(ring_);
+    values_flat_.assign(wall_slots, 0);
+    completion_wall_.assign(wall_slots, 0);
+    consume_wall_.assign(wall_slots, 0);
 
     std::vector<int> first_hop(ninstr, 0);
     for (const auto& in : kp.inputs) {

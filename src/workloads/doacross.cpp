@@ -74,7 +74,7 @@ Loop make_art(int variant, double coverage) {
   // Short memory lanes (the unrolled bodies).
   const Lane l2 = lane(loop, ind, {FA, variant % 2 == 0 ? FA : FS});    // +4 = 17
   const Lane l3 = lane(loop, ind, {IA});                                // +3 = 20
-  const Lane l4 = lane(loop, ind, {FA});                                // +3 = 23
+  lane(loop, ind, {FA});                                                // +3 = 23
   // Gather loads folded into the accumulators' next-iteration values
   // would close a cycle, so they feed plain consumers instead.
   const NodeId ld5 = loop.add_instr(Opcode::kLoad);

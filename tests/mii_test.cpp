@@ -107,7 +107,9 @@ TEST(Feasibility, MonotoneInII) {
   for (std::uint64_t seed = 70; seed < 85; ++seed) {
     const Loop loop = test::random_loop(seed);
     const int r = rec_ii(loop, mach);
-    if (r > 1) EXPECT_FALSE(recurrences_feasible(loop, mach, r - 1));
+    if (r > 1) {
+      EXPECT_FALSE(recurrences_feasible(loop, mach, r - 1));
+    }
     EXPECT_TRUE(recurrences_feasible(loop, mach, r));
     EXPECT_TRUE(recurrences_feasible(loop, mach, r + 3));
   }

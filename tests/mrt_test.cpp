@@ -10,6 +10,80 @@ namespace {
 
 using ir::Opcode;
 
+/// The pre-bitmap MRT, kept verbatim as the differential-testing
+/// reference for ModuloReservationTable (see sched/mrt.hpp). Scalar
+/// per-row counts only; asymptotically slower probes, trivially correct.
+class ScalarReferenceMrt {
+ public:
+  ScalarReferenceMrt(const machine::MachineModel& mach, int ii);
+
+  int ii() const { return ii_; }
+  int row_of(int cycle) const {
+    const int r = cycle % ii_;
+    return r < 0 ? r + ii_ : r;
+  }
+
+  bool can_place(ir::Opcode op, int cycle) const;
+  void place(ir::Opcode op, int cycle);
+  void remove(ir::Opcode op, int cycle);
+
+  int issue_used(int row) const { return issue_used_.at(static_cast<std::size_t>(row)); }
+  int fu_used(ir::FuClass c, int row) const {
+    return fu_used_[static_cast<std::size_t>(c)].at(static_cast<std::size_t>(row));
+  }
+
+ private:
+  const machine::MachineModel& mach_;
+  int ii_;
+  std::vector<int> issue_used_;            ///< per row
+  std::vector<std::vector<int>> fu_used_;  ///< [class][row]
+};
+
+ScalarReferenceMrt::ScalarReferenceMrt(const machine::MachineModel& mach, int ii)
+    : mach_(mach), ii_(ii), issue_used_(static_cast<std::size_t>(ii), 0) {
+  TMS_ASSERT(ii >= 1);
+  fu_used_.assign(ir::kNumFuClasses, std::vector<int>(static_cast<std::size_t>(ii), 0));
+}
+
+bool ScalarReferenceMrt::can_place(ir::Opcode op, int cycle) const {
+  const ir::FuClass c = ir::fu_class(op);
+  const int row = row_of(cycle);
+  if (c == ir::FuClass::kNone) return true;
+  if (issue_used_[static_cast<std::size_t>(row)] >= mach_.issue_width()) return false;
+  const int occ = mach_.occupancy(op);
+  if (occ > ii_) return false;
+  const int limit = mach_.fu_count(c);
+  for (int k = 0; k < occ; ++k) {
+    const int r = row_of(cycle + k);
+    if (fu_used_[static_cast<std::size_t>(c)][static_cast<std::size_t>(r)] >= limit) return false;
+  }
+  return true;
+}
+
+void ScalarReferenceMrt::place(ir::Opcode op, int cycle) {
+  TMS_ASSERT(can_place(op, cycle));
+  const ir::FuClass c = ir::fu_class(op);
+  if (c == ir::FuClass::kNone) return;
+  ++issue_used_[static_cast<std::size_t>(row_of(cycle))];
+  for (int k = 0; k < mach_.occupancy(op); ++k) {
+    ++fu_used_[static_cast<std::size_t>(c)][static_cast<std::size_t>(row_of(cycle + k))];
+  }
+}
+
+void ScalarReferenceMrt::remove(ir::Opcode op, int cycle) {
+  const ir::FuClass c = ir::fu_class(op);
+  if (c == ir::FuClass::kNone) return;
+  const int row = row_of(cycle);
+  TMS_ASSERT(issue_used_[static_cast<std::size_t>(row)] > 0);
+  --issue_used_[static_cast<std::size_t>(row)];
+  for (int k = 0; k < mach_.occupancy(op); ++k) {
+    const int r = row_of(cycle + k);
+    TMS_ASSERT(fu_used_[static_cast<std::size_t>(c)][static_cast<std::size_t>(r)] > 0);
+    --fu_used_[static_cast<std::size_t>(c)][static_cast<std::size_t>(r)];
+  }
+}
+
+
 TEST(Mrt, RowOfHandlesNegativeCycles) {
   machine::MachineModel mach;
   ModuloReservationTable mrt(mach, 5);

@@ -4,10 +4,13 @@
 // the two identity contracts the rest of the tree leans on — the modulo
 // policy with the bus off prices forwarding exactly like the pre-policy
 // relay model, and default-policy configs mint byte-identical schedule
-// cache keys and wire requests.
+// cache keys and wire requests — plus the machine-flag parser the tools
+// share and the request <-> config mapping.
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <string>
+#include <utility>
 #include <variant>
 
 #include "driver/schedule_cache.hpp"
@@ -216,6 +219,83 @@ TEST(Policy, RequestWireOmitsDefaultsAndRoundTrips) {
 
   auto bad = serve::parse_request("tmsq-request v1\nid 1\npolicy ring\nloop\n");
   EXPECT_NE(std::get_if<std::string>(&bad), nullptr);
+}
+
+TEST(MachineFlags, ParsesEveryFlagIntoTheConfig) {
+  machine::SpmtConfig cfg;
+  const std::pair<const char*, const char*> flags[] = {
+      {"--ncore", "16"},       {"--policy", "locality"}, {"--policy-stride", "3"},
+      {"--policy-block", "4"}, {"--bus-bytes", "8"},     {"--bus-bandwidth", "32"},
+  };
+  for (const auto& [flag, value] : flags) {
+    EXPECT_EQ(policy::parse_machine_flag(flag, value, cfg), std::nullopt) << flag;
+    EXPECT_TRUE(policy::is_machine_flag(flag)) << flag;
+  }
+  EXPECT_EQ(cfg.ncore, 16);
+  EXPECT_EQ(cfg.policy, machine::AllocPolicy::kLocality);
+  EXPECT_EQ(cfg.policy_stride, 3);
+  EXPECT_EQ(cfg.policy_block, 4);
+  EXPECT_EQ(cfg.bus_bytes_per_transfer, 8);
+  EXPECT_EQ(cfg.bus_bytes_per_cycle, 32);
+  EXPECT_FALSE(policy::is_machine_flag("--scheduler"));
+}
+
+TEST(MachineFlags, RejectsMalformedAndOutOfRangeValues) {
+  const std::pair<const char*, const char*> bad[] = {
+      {"--ncore", "0"},          {"--ncore", "1025"},       {"--ncore", "abc"},
+      {"--ncore", ""},           {"--ncore", "4x"},         {"--ncore", "99999999999"},
+      {"--policy", "ring"},      {"--policy-stride", "0"},  {"--policy-block", "-1"},
+      {"--bus-bytes", "-1"},     {"--bus-bandwidth", "0"},  {"--bus-bandwidth", "1.5"},
+  };
+  for (const auto& [flag, value] : bad) {
+    machine::SpmtConfig cfg;
+    EXPECT_NE(policy::parse_machine_flag(flag, value, cfg), std::nullopt)
+        << flag << " " << value;
+  }
+  machine::SpmtConfig cfg;
+  EXPECT_EQ(policy::parse_machine_flag("--ncore", "1024", cfg), std::nullopt);
+  EXPECT_EQ(policy::parse_machine_flag("--bus-bytes", "0", cfg), std::nullopt);
+}
+
+TEST(MachineFlags, ConfigErrorNamesTheFirstKnobOutOfRange) {
+  EXPECT_EQ(policy::machine_config_error(machine::SpmtConfig{}), std::nullopt);
+  machine::SpmtConfig cfg;
+  cfg.policy_stride = 0;
+  EXPECT_EQ(policy::machine_config_error(cfg), "policy_stride 0 out of range [1, inf)");
+  cfg.ncore = 2048;
+  EXPECT_EQ(policy::machine_config_error(cfg), "ncore 2048 out of range [1, 1024]");
+}
+
+TEST(MachineFlags, RequestConfigAppliesDefaultsOnlyToWireDefaultFields) {
+  machine::SpmtConfig defaults;
+  defaults.policy = machine::AllocPolicy::kLocality;
+  defaults.policy_block = 4;
+  defaults.bus_bytes_per_transfer = 8;
+  defaults.c_spn = 9;
+  defaults.l2_miss = 200;
+
+  serve::Request req;
+  req.ncore = 16;
+  req.bus_bytes_per_transfer = 16;
+  const machine::SpmtConfig cfg = serve::request_config(req, defaults);
+  EXPECT_EQ(cfg.ncore, 16) << "ncore always comes from the request";
+  EXPECT_EQ(cfg.policy, machine::AllocPolicy::kLocality);
+  EXPECT_EQ(cfg.policy_block, 4);
+  EXPECT_EQ(cfg.bus_bytes_per_transfer, 16) << "a non-default request field wins";
+  EXPECT_EQ(cfg.c_spn, machine::SpmtConfig{}.c_spn) << "only the policy/bus defaults apply";
+  EXPECT_EQ(cfg.l2_miss, machine::SpmtConfig{}.l2_miss);
+
+  // Config -> request -> config is the identity on the wire-carried knobs.
+  machine::SpmtConfig want;
+  want.ncore = 8;
+  want.policy = machine::AllocPolicy::kRoundRobinStride;
+  want.policy_stride = 3;
+  want.bus_bytes_per_cycle = 32;
+  serve::Request back;
+  serve::set_request_config(back, want);
+  EXPECT_EQ(driver::ScheduleCache::key_string(req.loop, machine::MachineModel{},
+                                              serve::request_config(back), "tms"),
+            driver::ScheduleCache::key_string(req.loop, machine::MachineModel{}, want, "tms"));
 }
 
 }  // namespace

@@ -9,6 +9,7 @@
 
 #include <filesystem>
 #include <map>
+#include <optional>
 #include <set>
 #include <string>
 #include <vector>
@@ -325,6 +326,58 @@ TEST_F(RouterSocketTest, PeerFillServesWarmSiblingEntry) {
     client.close();
   }
   EXPECT_GT(obs::counters().serve_peer_fill_hits.value(), hits_before);
+  lc.stop();
+}
+
+TEST_F(RouterSocketTest, PolicyAndBusFieldsAreInTheRoutingKey) {
+  // The router keys a request by everything it spells out, policy and
+  // bus terms included, so it lands on the shard whose cache stores it.
+  const machine::MachineModel mach;
+  router::LocalClusterOptions opts;
+  opts.backends = 4;
+  opts.dir = dir_;
+  opts.peer_fill = false;
+  router::LocalCluster lc(mach, opts);
+  ASSERT_FALSE(lc.start().has_value());
+
+  // A request whose full key and ncore-only key pick different primaries
+  // tells the two keys apart.
+  std::optional<serve::Request> probe;
+  std::uint64_t key = 0;
+  for (workloads::Kernel& k : workloads::classic_kernels()) {
+    for (const int bus_bytes : {0, 8, 16}) {
+      serve::Request req;
+      req.scheduler = "tms";
+      req.policy = machine::AllocPolicy::kLocality;
+      req.policy_block = 2;
+      req.bus_bytes_per_transfer = bus_bytes;
+      req.loop = k.loop;
+      machine::SpmtConfig ncore_only;
+      ncore_only.ncore = req.ncore;
+      key = driver::ScheduleCache::key(req.loop, mach, serve::request_config(req), "tms");
+      const std::uint64_t bare = driver::ScheduleCache::key(req.loop, mach, ncore_only, "tms");
+      if (lc.router().ring().primary(key) != lc.router().ring().primary(bare)) {
+        probe = std::move(req);
+        break;
+      }
+    }
+    if (probe.has_value()) break;
+  }
+  ASSERT_TRUE(probe.has_value());
+
+  serve::Client client;
+  ASSERT_FALSE(client.connect_unix(lc.router_socket()).has_value());
+  const auto resp = client.compile(*probe);
+  const auto* ok = std::get_if<serve::Response>(&resp);
+  ASSERT_NE(ok, nullptr);
+  ASSERT_TRUE(ok->ok) << ok->message;
+  const std::string primary = lc.router().ring().primary(key);
+  for (int i = 0; i < lc.backends(); ++i) {
+    EXPECT_EQ(lc.cache(i)->lookup(key, probe->loop.num_instrs()).has_value(),
+              lc.backend_socket(i) == primary)
+        << "only the key's primary shard compiled and cached the request";
+  }
+  client.close();
   lc.stop();
 }
 

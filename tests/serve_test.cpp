@@ -397,6 +397,83 @@ TEST(Service, SharedCacheTurnsTheSecondRequestIntoAHit) {
   svc.shutdown();
 }
 
+/// A cache entry for `loop` that rebuilds into a dependence-respecting
+/// schedule but carries an unsatisfiable TMS acceptance threshold: only
+/// the pipeline's validation of cache hits can catch it. `loop` must
+/// carry a recurrence, so the schedule's C_delay is strictly positive.
+driver::ScheduleCache::Entry corrupt_entry(const ir::Loop& loop,
+                                           const machine::MachineModel& mach) {
+  const auto fresh = sched::tms_schedule(loop, mach, machine::SpmtConfig{});
+  EXPECT_TRUE(fresh.has_value());
+  driver::ScheduleCache::Entry e;
+  e.scheduler = "tms";
+  e.ii = fresh->schedule.ii();
+  e.mii = fresh->mii;
+  e.c_delay_threshold = 0;
+  e.p_max = 0.0;
+  for (int v = 0; v < loop.num_instrs(); ++v) e.slots.push_back(fresh->schedule.slot(v));
+  return e;
+}
+
+/// The checks both corrupt-hit cases share: the response is ok but not a
+/// hit, the recompute overwrote the entry, and the next request hits.
+void expect_corrupt_hit_recomputed(serve::CompileService& svc, driver::ScheduleCache& cache,
+                                   const serve::Request& req, const machine::MachineModel& mach) {
+  const std::uint64_t key =
+      driver::ScheduleCache::key(req.loop, mach, serve::request_config(req), req.scheduler);
+  const serve::Response first = svc.handle(req);
+  expect_valid_remote_schedule(first, req.loop, mach);
+  EXPECT_FALSE(first.cache_hit) << "a corrupt hit is demoted to a recompute";
+
+  const auto entry = cache.lookup(key, req.loop.num_instrs());
+  ASSERT_TRUE(entry.has_value());
+  EXPECT_GT(entry->c_delay_threshold, 0) << "the recompute overwrote the corrupt entry";
+  EXPECT_EQ(entry->c_delay_threshold, first.c_delay_threshold);
+  EXPECT_EQ(entry->slots, first.slots);
+
+  const serve::Response second = svc.handle(req);
+  ASSERT_TRUE(second.ok) << second.message;
+  EXPECT_TRUE(second.cache_hit);
+  EXPECT_EQ(second.slots, first.slots);
+}
+
+TEST(Service, CorruptLocalCacheHitIsRecomputedAndOverwritten) {
+  machine::MachineModel mach;
+  driver::ScheduleCache cache(64);
+  serve::Request req = chain_request();
+  req.loop = test::tiny_recurrence();
+  cache.insert(driver::ScheduleCache::key(req.loop, mach, serve::request_config(req), "tms"),
+               corrupt_entry(req.loop, mach));
+  serve::ServiceOptions opts;
+  opts.threads = 1;
+  serve::CompileService svc(mach, &cache, opts);
+  expect_corrupt_hit_recomputed(svc, cache, req, mach);
+  svc.shutdown();
+}
+
+TEST(Service, CorruptPeerFillEntryIsRecomputedAndOverwritten) {
+  machine::MachineModel mach;
+  driver::ScheduleCache cache(64);
+  serve::Request req = chain_request();
+  req.loop = test::tiny_recurrence();
+  const driver::ScheduleCache::Entry bad = corrupt_entry(req.loop, mach);
+  std::atomic<int> peeks{0};
+  serve::ServiceOptions opts;
+  opts.threads = 1;
+  opts.peer_fill = [&](std::uint64_t, int) -> std::optional<driver::ScheduleCache::Entry> {
+    peeks.fetch_add(1);
+    return bad;
+  };
+  serve::CompileService svc(mach, &cache, opts);
+
+  const obs::CountersSnapshot before = obs::counters_snapshot();
+  expect_corrupt_hit_recomputed(svc, cache, req, mach);
+  const obs::CountersSnapshot d = obs::snapshot_delta(before, obs::counters_snapshot());
+  EXPECT_EQ(peeks.load(), 1) << "the second request hits locally, without a PEEK";
+  EXPECT_EQ(d.value("serve.peer_fill_hits"), 1u) << "the entry rebuilt, so it was a peer hit";
+  svc.shutdown();
+}
+
 TEST(Service, SimVerifyAcceptsCorrectSchedulesAndRecordsLatency) {
   // --sim-verify: the response only ships after a bounded event-driven
   // simulation of the lowered kernel reproduced the sequential
@@ -437,6 +514,23 @@ TEST(Service, RejectsBadSchedulerAndBadNcore) {
   req = chain_request();
   req.ncore = 100000;
   EXPECT_EQ(svc.handle(req).code, serve::ErrorCode::kBadRequest);
+
+  // The wire parser checks only syntax; admission answers a policy/bus
+  // knob out of range bad-request before it can reach SpmtConfig::check().
+  const std::function<void(serve::Request&)> bad_knobs[] = {
+      [](serve::Request& r) { r.policy_stride = 0; },
+      [](serve::Request& r) { r.policy_block = 0; },
+      [](serve::Request& r) { r.bus_bytes_per_transfer = -1; },
+      [](serve::Request& r) { r.bus_bytes_per_cycle = 0; },
+  };
+  for (const auto& set_knob : bad_knobs) {
+    req = chain_request();
+    set_knob(req);
+    const auto parsed = serve::parse_request(serve::serialise_request(req));
+    const auto* wire = std::get_if<serve::Request>(&parsed);
+    ASSERT_NE(wire, nullptr) << std::get<std::string>(parsed);
+    EXPECT_EQ(svc.handle(*wire).code, serve::ErrorCode::kBadRequest);
+  }
   svc.shutdown();
 }
 

@@ -2,7 +2,8 @@
 # Regression test for the tmsbatch exit-code contract (docs/DRIVER.md):
 #   0  every job compiled, validated, and (if requested) passed the oracle
 #   1  any job failed, or an input could not be loaded
-#   2  usage errors (bad flags, unknown scheduler names)
+#   2  usage errors (bad flags, machine flags out of range, unknown
+#      scheduler names)
 #
 # Usage: tmsbatch_exit.sh TMSBATCH LOOPS_DIR
 set -u
@@ -46,5 +47,13 @@ expect 1 "missing loop file" "$TMSBATCH" "$WORK/does_not_exist.loop" --quiet
 expect 2 "unknown scheduler" \
   "$TMSBATCH" "$LOOPS_DIR/dotprod.loop" --schedulers bogus --quiet
 expect 2 "unknown flag" "$TMSBATCH" "$LOOPS_DIR/dotprod.loop" --wibble
+
+# exit 2: a malformed or out-of-range machine flag is a usage error, caught
+# before any job runs (it used to abort inside the scheduler).
+for flag in "--ncore 0" "--ncore 1025" "--ncore abc" "--policy ring" "--policy-stride 0" \
+            "--policy-block 0" "--bus-bytes -1" "--bus-bandwidth 0"; do
+  # shellcheck disable=SC2086  # "$flag" is a flag and its value
+  expect 2 "bad machine flag $flag" "$TMSBATCH" "$LOOPS_DIR/dotprod.loop" $flag --quiet
+done
 
 exit "$fail"

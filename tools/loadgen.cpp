@@ -26,15 +26,11 @@
 //                                                           (default 200)
 //     --qps N                  aggregate request rate cap (0 = unlimited)
 //     --scheduler sms|ims|tms  (default tms)
-//     --ncore N                (default 4)
-//     --policy P               core-allocation policy carried in every
-//                              request: modulo (default),
-//                              round_robin_stride, locality, dep_distance
-//     --policy-stride N        stride for round_robin_stride (default 1)
-//     --policy-block N         block size for locality        (default 1)
-//     --bus-bytes N            shared-bus bytes per register transfer
-//                              (default 0 = contention term off)
-//     --bus-bandwidth N        shared-bus bytes per cycle     (default 16)
+//     --ncore N (default 4), --policy P, --policy-stride N,
+//     --policy-block N, --bus-bytes N,
+//     --bus-bandwidth N        machine flags carried in every request,
+//                              shared with tmsc, tmsbatch and tmsd
+//                              (policy::parse_machine_flag, docs/POLICY.md)
 //     --deadline-ms N          per-request deadline (0 = none)
 //     --timeout-ms N           socket send/recv timeout (default 30000)
 //     --max-retries N          overload retries per request (default 8)
@@ -89,14 +85,12 @@
 #include <thread>
 #include <vector>
 
+#include "driver/compile.hpp"
 #include "ir/textio.hpp"
 #include "machine/machine.hpp"
 #include "obs/trace.hpp"
 #include "policy/policy.hpp"
 #include "router/cluster.hpp"
-#include "sched/ims.hpp"
-#include "sched/sms.hpp"
-#include "sched/tms.hpp"
 #include "serve/client.hpp"
 #include "support/json.hpp"
 #include "support/json_parse.hpp"
@@ -109,13 +103,11 @@ namespace {
 int usage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s (--socket PATH | --tcp HOST:PORT | --cluster N) [loop files...]\n"
-               "          [--clients N] [--requests N] [--qps N] [--scheduler sms|ims|tms]\n"
-               "          [--ncore N] [--policy NAME] [--policy-stride N] [--policy-block N]\n"
-               "          [--bus-bytes N] [--bus-bandwidth N]\n"
+               "          [--clients N] [--requests N] [--qps N] [--scheduler sms|ims|tms]\n%s"
                "          [--deadline-ms N] [--timeout-ms N] [--max-retries N]\n"
                "          [--verify] [--expect-retry-after] [--expect-stats] [--json PATH]\n"
                "          [--trace-out FILE]\n",
-               argv0);
+               argv0, policy::kMachineFlagsUsage);
   return 2;
 }
 
@@ -246,12 +238,7 @@ int main(int argc, char** argv) {
   long long requests = 200;
   long long qps = 0;
   std::string scheduler = "tms";
-  int ncore = 4;
-  machine::AllocPolicy policy = machine::AllocPolicy::kModulo;
-  int policy_stride = 1;
-  int policy_block = 1;
-  int bus_bytes = 0;
-  int bus_bandwidth = 16;
+  machine::SpmtConfig cfg;
   long long deadline_ms = 0;
   int timeout_ms = 30000;
   int max_retries = 8;
@@ -283,22 +270,11 @@ int main(int argc, char** argv) {
       qps = std::atoll(next("--qps"));
     } else if (a == "--scheduler") {
       scheduler = next("--scheduler");
-    } else if (a == "--ncore") {
-      ncore = std::atoi(next("--ncore"));
-    } else if (a == "--policy") {
-      const char* name = next("--policy");
-      if (!policy::policy_from_string(name, policy)) {
-        std::fprintf(stderr, "unknown policy '%s'\n", name);
+    } else if (policy::is_machine_flag(a)) {
+      if (const auto err = policy::parse_machine_flag(a, next(a.c_str()), cfg)) {
+        std::fprintf(stderr, "%s\n", err->c_str());
         return 2;
       }
-    } else if (a == "--policy-stride") {
-      policy_stride = std::atoi(next("--policy-stride"));
-    } else if (a == "--policy-block") {
-      policy_block = std::atoi(next("--policy-block"));
-    } else if (a == "--bus-bytes") {
-      bus_bytes = std::atoi(next("--bus-bytes"));
-    } else if (a == "--bus-bandwidth") {
-      bus_bandwidth = std::atoi(next("--bus-bandwidth"));
     } else if (a == "--deadline-ms") {
       deadline_ms = std::atoll(next("--deadline-ms"));
     } else if (a == "--timeout-ms") {
@@ -336,6 +312,10 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "--clients and --requests must be positive\n");
     return 2;
   }
+  if (!driver::known_scheduler(scheduler)) {
+    std::fprintf(stderr, "unknown scheduler '%s'\n", scheduler.c_str());
+    return 2;
+  }
 
   std::vector<ir::Loop> loops;
   for (const std::string& f : files) {
@@ -360,28 +340,13 @@ int main(int argc, char** argv) {
   // --verify baseline: schedule every loop locally, once, up front. The
   // schedulers are deterministic, so this is what the server must echo.
   machine::MachineModel mach;
-  machine::SpmtConfig cfg;
-  cfg.ncore = ncore;
-  cfg.policy = policy;
-  cfg.policy_stride = policy_stride;
-  cfg.policy_block = policy_block;
-  cfg.bus_bytes_per_transfer = bus_bytes;
-  cfg.bus_bytes_per_cycle = bus_bandwidth;
   std::vector<std::optional<Expected>> expected(loops.size());
   if (verify) {
     for (std::size_t i = 0; i < loops.size(); ++i) {
-      std::optional<sched::Schedule> s;
-      if (scheduler == "sms") {
-        if (auto r = sched::sms_schedule(loops[i], mach)) s.emplace(std::move(r->schedule));
-      } else if (scheduler == "ims") {
-        if (auto r = sched::ims_schedule(loops[i], mach)) s.emplace(std::move(r->schedule));
-      } else {
-        if (auto r = sched::tms_schedule(loops[i], mach, cfg)) s.emplace(std::move(r->schedule));
-      }
-      if (s.has_value()) {
+      if (const auto c = driver::schedule_loop(loops[i], mach, cfg, scheduler)) {
         Expected e;
-        e.ii = s->ii();
-        for (int v = 0; v < loops[i].num_instrs(); ++v) e.slots.push_back(s->slot(v));
+        e.ii = c->schedule.ii();
+        for (int v = 0; v < loops[i].num_instrs(); ++v) e.slots.push_back(c->schedule.slot(v));
         expected[i] = std::move(e);
       }
     }
@@ -455,13 +420,8 @@ int main(int argc, char** argv) {
         req.id = static_cast<std::uint64_t>(k) + 1;
         req.request_id = "lg-" + std::to_string(k + 1);
         req.scheduler = scheduler;
-        req.ncore = ncore;
+        serve::set_request_config(req, cfg);
         req.deadline_ms = deadline_ms;
-        req.policy = policy;
-        req.policy_stride = policy_stride;
-        req.policy_block = policy_block;
-        req.bus_bytes_per_transfer = bus_bytes;
-        req.bus_bytes_per_cycle = bus_bandwidth;
         req.loop = loops[li];
         // Traced runs act as the trace root: the server echoes this id
         // and its spans carry it, so the dump stitches per request.

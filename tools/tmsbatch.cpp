@@ -28,14 +28,11 @@
 //     --oracle N               run the differential oracle with N
 //                              iterations per loop        (default off)
 //     --no-validate            skip the independent schedule validator
-//     --ncore N                cores of the SpMT machine  (default 4)
-//     --policy P               core-allocation policy: modulo (default),
-//                              round_robin_stride, locality, dep_distance
-//     --policy-stride N        stride for round_robin_stride (default 1)
-//     --policy-block N         block size for locality        (default 1)
-//     --bus-bytes N            shared-bus bytes per register transfer
-//                              (default 0 = contention term off)
-//     --bus-bandwidth N        shared-bus bytes per cycle     (default 16)
+//     --ncore N (cores of the SpMT machine, default 4), --policy P,
+//     --policy-stride N, --policy-block N, --bus-bytes N,
+//     --bus-bandwidth N        machine flags, shared with tmsc, tmsd and
+//                              loadgen (policy::parse_machine_flag,
+//                              docs/POLICY.md)
 //     --seed S                 batch seed for simulation/oracle streams
 //     --quiet                  print only the summary, not the per-job table
 //     --trace PATH             record a structured trace of the run and
@@ -62,6 +59,7 @@
 
 #include "cost/cost_model.hpp"
 #include "driver/batch.hpp"
+#include "driver/compile.hpp"
 #include "driver/job_pool.hpp"
 #include "driver/schedule_cache.hpp"
 #include "ir/textio.hpp"
@@ -85,11 +83,9 @@ int usage(const char* argv0) {
                "          [--schedulers sms,ims,tms] [--jobs N] [--cache-dir DIR]\n"
                "          [--cache-capacity N] [--cache-disk-max-bytes N] [--no-cache]\n"
                "          [--json PATH] [--stable-json]\n"
-               "          [--simulate N] [--oracle N] [--no-validate] [--ncore N] [--seed S]\n"
-               "          [--policy modulo|round_robin_stride|locality|dep_distance]\n"
-               "          [--policy-stride N] [--policy-block N] [--bus-bytes N] [--bus-bandwidth N]\n"
+               "          [--simulate N] [--oracle N] [--no-validate] [--seed S]\n%s"
                "          [--quiet] [--trace PATH] [--trace-buf N] [--explain LOOP]\n",
-               argv0);
+               argv0, policy::kMachineFlagsUsage);
   return 2;
 }
 
@@ -222,12 +218,7 @@ int main(int argc, char** argv) {
   bool use_cache = true;
   std::string json_path;
   bool stable_json = false;
-  int ncore = 4;
-  machine::AllocPolicy policy = machine::AllocPolicy::kModulo;
-  int policy_stride = 1;
-  int policy_block = 1;
-  int bus_bytes = 0;
-  int bus_bandwidth = 16;
+  machine::SpmtConfig cfg;
   bool quiet = false;
   std::string trace_path;
   std::size_t trace_buf = 1u << 20;
@@ -269,22 +260,11 @@ int main(int argc, char** argv) {
       opts.oracle_iterations = std::atoll(next("--oracle"));
     } else if (a == "--no-validate") {
       opts.validate = false;
-    } else if (a == "--ncore") {
-      ncore = std::atoi(next("--ncore"));
-    } else if (a == "--policy") {
-      const char* name = next("--policy");
-      if (!policy::policy_from_string(name, policy)) {
-        std::fprintf(stderr, "unknown policy '%s'\n", name);
+    } else if (policy::is_machine_flag(a)) {
+      if (const auto err = policy::parse_machine_flag(a, next(a.c_str()), cfg)) {
+        std::fprintf(stderr, "%s\n", err->c_str());
         return 2;
       }
-    } else if (a == "--policy-stride") {
-      policy_stride = std::atoi(next("--policy-stride"));
-    } else if (a == "--policy-block") {
-      policy_block = std::atoi(next("--policy-block"));
-    } else if (a == "--bus-bytes") {
-      bus_bytes = std::atoi(next("--bus-bytes"));
-    } else if (a == "--bus-bandwidth") {
-      bus_bandwidth = std::atoi(next("--bus-bandwidth"));
     } else if (a == "--seed") {
       opts.seed = std::strtoull(next("--seed"), nullptr, 10);
     } else if (a == "--quiet") {
@@ -302,7 +282,7 @@ int main(int argc, char** argv) {
     }
   }
   for (const std::string& s : schedulers) {
-    if (s != "sms" && s != "ims" && s != "tms") {
+    if (!driver::known_scheduler(s)) {
       std::fprintf(stderr, "unknown scheduler '%s'\n", s.c_str());
       return 2;
     }
@@ -365,13 +345,6 @@ int main(int argc, char** argv) {
   }
 
   machine::MachineModel mach;
-  machine::SpmtConfig cfg;
-  cfg.ncore = ncore;
-  cfg.policy = policy;
-  cfg.policy_stride = policy_stride;
-  cfg.policy_block = policy_block;
-  cfg.bus_bytes_per_transfer = bus_bytes;
-  cfg.bus_bytes_per_cycle = bus_bandwidth;
 
   if (!explain_loop.empty()) {
     for (const NamedLoop& nl : loops) {

@@ -4,7 +4,6 @@
 // Usage:
 //   tmsc <loop-file> [options]
 //     --scheduler sms|ims|tms   (default tms)
-//     --ncore N                 (default 4)
 //     --unroll U                (default 1)
 //     --simulate N              simulate N iterations on the SpMT machine
 //     --baseline N              also run the single-threaded core
@@ -13,13 +12,11 @@
 //     --profile N               profile dependence frequencies over N
 //                               iterations and re-annotate before scheduling
 //     --registers R             register-file budget (MaxLive + copies)
-//     --policy P                core-allocation policy: modulo (default),
-//                               round_robin_stride, locality, dep_distance
-//     --policy-stride N         stride for round_robin_stride (default 1)
-//     --policy-block N          block size for locality        (default 1)
-//     --bus-bytes N             shared-bus bytes per register transfer
-//                               (default 0 = contention term off)
-//     --bus-bandwidth N         shared-bus bytes per cycle     (default 16)
+//     --ncore N (default 4), --policy P, --policy-stride N,
+//     --policy-block N, --bus-bytes N, --bus-bandwidth N
+//                               machine flags, shared with tmsbatch, tmsd
+//                               and loadgen (policy::parse_machine_flag,
+//                               docs/POLICY.md); out-of-range values exit 2
 //     --remote SOCKET           schedule on a running tmsd (Unix socket
 //                               path) instead of in-process; everything
 //                               downstream (render, metrics, simulate)
@@ -35,18 +32,16 @@
 #include <string>
 
 #include "codegen/kernel_program.hpp"
+#include "driver/compile.hpp"
 #include "ir/textio.hpp"
-#include "policy/policy.hpp"
 #include "ir/unroll.hpp"
-#include "sched/ims.hpp"
+#include "policy/policy.hpp"
 #include "sched/postpass.hpp"
 #include "sched/regpressure.hpp"
-#include "sched/sms.hpp"
-#include "sched/tms.hpp"
+#include "serve/client.hpp"
 #include "spmt/address.hpp"
 #include "spmt/profile.hpp"
 #include "spmt/sim.hpp"
-#include "serve/client.hpp"
 #include "spmt/single_core.hpp"
 #include "viz/render.hpp"
 
@@ -56,14 +51,11 @@ namespace {
 
 int usage(const char* argv0) {
   std::fprintf(stderr,
-               "usage: %s <loop-file> [--scheduler sms|ims|tms] [--ncore N] [--unroll U]\n"
+               "usage: %s <loop-file> [--scheduler sms|ims|tms] [--unroll U]\n"
                "          [--simulate N] [--baseline N] [--render flat|kernel|exec|dot|all]\n"
-               "          [--profile N] [--registers N] [--metrics]\n"
-               "          [--policy modulo|round_robin_stride|locality|dep_distance]\n"
-               "          [--policy-stride N] [--policy-block N]\n"
-               "          [--bus-bytes N] [--bus-bandwidth N]\n"
+               "          [--profile N] [--registers N] [--metrics]\n%s"
                "          [--remote SOCKET] [--deadline-ms N]\n",
-               argv0);
+               argv0, policy::kMachineFlagsUsage);
   return 2;
 }
 
@@ -73,7 +65,7 @@ int main(int argc, char** argv) {
   if (argc < 2) return usage(argv[0]);
   std::string scheduler = "tms";
   std::string render = "kernel";
-  int ncore = 4;
+  machine::SpmtConfig cfg;
   int unroll_factor = 1;
   long long simulate = 0;
   long long baseline = 0;
@@ -82,11 +74,6 @@ int main(int argc, char** argv) {
   bool metrics = false;
   std::string remote;
   long long deadline_ms = 0;
-  machine::AllocPolicy policy = machine::AllocPolicy::kModulo;
-  int policy_stride = 1;
-  int policy_block = 1;
-  int bus_bytes = 0;
-  int bus_bandwidth = 16;
 
   for (int i = 2; i < argc; ++i) {
     const std::string a = argv[i];
@@ -99,8 +86,11 @@ int main(int argc, char** argv) {
     };
     if (a == "--scheduler") {
       scheduler = next("--scheduler");
-    } else if (a == "--ncore") {
-      ncore = std::atoi(next("--ncore"));
+    } else if (policy::is_machine_flag(a)) {
+      if (const auto err = policy::parse_machine_flag(a, next(a.c_str()), cfg)) {
+        std::fprintf(stderr, "%s\n", err->c_str());
+        return 2;
+      }
     } else if (a == "--unroll") {
       unroll_factor = std::atoi(next("--unroll"));
     } else if (a == "--simulate") {
@@ -119,24 +109,11 @@ int main(int argc, char** argv) {
       remote = next("--remote");
     } else if (a == "--deadline-ms") {
       deadline_ms = std::atoll(next("--deadline-ms"));
-    } else if (a == "--policy") {
-      const char* name = next("--policy");
-      if (!policy::policy_from_string(name, policy)) {
-        std::fprintf(stderr, "unknown policy '%s'\n", name);
-        return 2;
-      }
-    } else if (a == "--policy-stride") {
-      policy_stride = std::atoi(next("--policy-stride"));
-    } else if (a == "--policy-block") {
-      policy_block = std::atoi(next("--policy-block"));
-    } else if (a == "--bus-bytes") {
-      bus_bytes = std::atoi(next("--bus-bytes"));
-    } else if (a == "--bus-bandwidth") {
-      bus_bandwidth = std::atoi(next("--bus-bandwidth"));
     } else {
       return usage(argv[0]);
     }
   }
+  if (!driver::known_scheduler(scheduler)) return usage(argv[0]);
 
   std::ifstream file(argv[1]);
   if (!file) {
@@ -152,13 +129,6 @@ int main(int argc, char** argv) {
   if (unroll_factor > 1) loop = ir::unroll(loop, unroll_factor);
 
   machine::MachineModel mach;
-  machine::SpmtConfig cfg;
-  cfg.ncore = ncore;
-  cfg.policy = policy;
-  cfg.policy_stride = policy_stride;
-  cfg.policy_block = policy_block;
-  cfg.bus_bytes_per_transfer = bus_bytes;
-  cfg.bus_bytes_per_cycle = bus_bandwidth;
 
   if (profile > 0) {
     const spmt::AddressStreams streams = spmt::default_streams(loop, 42);
@@ -188,13 +158,8 @@ int main(int argc, char** argv) {
     }
     serve::Request req;
     req.scheduler = scheduler;
-    req.ncore = ncore;
+    serve::set_request_config(req, cfg);
     req.deadline_ms = deadline_ms;
-    req.policy = policy;
-    req.policy_stride = policy_stride;
-    req.policy_block = policy_block;
-    req.bus_bytes_per_transfer = bus_bytes;
-    req.bus_bytes_per_cycle = bus_bandwidth;
     req.loop = loop;
     auto result = client.compile(req);
     if (const auto* err = std::get_if<std::string>(&result)) {
@@ -242,18 +207,13 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "--registers supports sms and tms only\n");
       return 2;
     }
-  } else if (scheduler == "sms") {
-    if (auto r = sched::sms_schedule(loop, mach)) schedule.emplace(std::move(r->schedule));
-  } else if (scheduler == "ims") {
-    if (auto r = sched::ims_schedule(loop, mach)) schedule.emplace(std::move(r->schedule));
-  } else if (scheduler == "tms") {
-    if (auto r = sched::tms_schedule(loop, mach, cfg)) {
+  } else if (auto c = driver::schedule_loop(loop, mach, cfg, scheduler)) {
+    if (c->check_opts.c_delay_threshold >= 0) {
       std::printf("TMS thresholds: C_delay<=%d P_max=%.2f (F=%.2f, %d pairs tried)\n",
-                  r->c_delay_threshold, r->p_max, r->f_value, r->pairs_tried);
-      schedule.emplace(std::move(r->schedule));
+                  c->check_opts.c_delay_threshold, c->check_opts.p_max, c->f_value,
+                  c->pairs_tried);
     }
-  } else {
-    return usage(argv[0]);
+    schedule.emplace(std::move(c->schedule));
   }
   if (!schedule.has_value()) {
     std::fprintf(stderr, "scheduling failed\n");

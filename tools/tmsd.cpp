@@ -28,14 +28,13 @@
 //                              PEEKs each peer in order before scheduling
 //                              fresh (cache peer-fill, docs/ROUTING.md)
 //     --peer-timeout-ms N      per-peer PEEK send/recv timeout (default 1000)
-//     --policy P               default core-allocation policy for requests
-//                              that don't carry their own: modulo (default),
-//                              round_robin_stride, locality, dep_distance
-//     --policy-stride N        default stride for round_robin_stride
-//     --policy-block N         default block size for locality
-//     --bus-bytes N            default shared-bus bytes per register
-//                              transfer (0 = contention term off)
-//     --bus-bandwidth N        default shared-bus bytes per cycle (16)
+//     --policy P, --policy-stride N, --policy-block N, --bus-bytes N,
+//     --bus-bandwidth N        machine flags, shared with tmsc, tmsbatch
+//                              and loadgen (policy::parse_machine_flag,
+//                              docs/POLICY.md); here they are the defaults
+//                              for requests that don't carry their own
+//                              (serve::request_config). --ncore is refused
+//                              (exit 2): every request carries its own
 //     --no-validate            skip the independent validator per request
 //     --sim-verify             simulator-backed verification: refuse any
 //                              response whose bounded event-driven SpMT
@@ -91,7 +90,6 @@
 #include "obs/flight.hpp"
 #include "obs/prometheus.hpp"
 #include "policy/policy.hpp"
-#include "serve/client.hpp"
 #include "serve/server.hpp"
 #include "serve/service.hpp"
 
@@ -104,14 +102,13 @@ int usage(const char* argv0) {
                "usage: %s --socket PATH [--tcp-port N] [--threads N] [--queue-capacity N]\n"
                "          [--retry-after-ms N] [--max-connections N] [--idle-timeout-ms N]\n"
                "          [--cache-dir DIR] [--cache-capacity N] [--cache-disk-max-bytes N]\n"
-               "          [--no-cache] [--peer PATH]... [--peer-timeout-ms N]\n"
-               "          [--policy NAME] [--policy-stride N] [--policy-block N]\n"
-               "          [--bus-bytes N] [--bus-bandwidth N]\n"
+               "          [--no-cache] [--peer PATH]... [--peer-timeout-ms N]\n%s"
+               "          (machine flags except --ncore: each request carries its own)\n"
                "          [--no-validate] [--sim-verify] [--sim-verify-iters N] [--counters]\n"
                "          [--metrics-dump PATH] [--metrics-interval-ms N]\n"
                "          [--slow-ms N] [--slow-log PATH]\n"
                "          [--flight-size N] [--flight-dump PATH]\n",
-               argv0);
+               argv0, policy::kMachineFlagsUsage);
   return 2;
 }
 
@@ -243,20 +240,12 @@ int main(int argc, char** argv) {
       peers.emplace_back(next("--peer"));
     } else if (a == "--peer-timeout-ms") {
       peer_timeout_ms = std::atoi(next("--peer-timeout-ms"));
-    } else if (a == "--policy") {
-      const char* name = next("--policy");
-      if (!policy::policy_from_string(name, service_opts.policy)) {
-        std::fprintf(stderr, "unknown policy '%s'\n", name);
+    } else if (a != "--ncore" && policy::is_machine_flag(a)) {
+      if (const auto err =
+              policy::parse_machine_flag(a, next(a.c_str()), service_opts.machine_defaults)) {
+        std::fprintf(stderr, "%s\n", err->c_str());
         return 2;
       }
-    } else if (a == "--policy-stride") {
-      service_opts.policy_stride = std::atoi(next("--policy-stride"));
-    } else if (a == "--policy-block") {
-      service_opts.policy_block = std::atoi(next("--policy-block"));
-    } else if (a == "--bus-bytes") {
-      service_opts.bus_bytes_per_transfer = std::atoi(next("--bus-bytes"));
-    } else if (a == "--bus-bandwidth") {
-      service_opts.bus_bytes_per_cycle = std::atoi(next("--bus-bandwidth"));
     } else if (a == "--no-validate") {
       service_opts.validate = false;
     } else if (a == "--counters") {
@@ -343,20 +332,7 @@ int main(int argc, char** argv) {
   }
 
   if (!peers.empty() && use_cache) {
-    // Cache peer-fill: on a local miss, PEEK each ring sibling in order
-    // (one fresh connection per probe — trivially thread-safe from the
-    // compile workers; a dead peer is a fast connect error and a miss).
-    service_opts.peer_fill = [peers, peer_timeout_ms](std::uint64_t key, int expect_instrs)
-        -> std::optional<driver::ScheduleCache::Entry> {
-      for (const std::string& peer : peers) {
-        serve::Client client;
-        if (client.connect_unix(peer, peer_timeout_ms).has_value()) continue;
-        std::optional<driver::ScheduleCache::Entry> entry;
-        if (client.peek({key, expect_instrs}, entry).has_value()) continue;
-        if (entry.has_value()) return entry;
-      }
-      return std::nullopt;
-    };
+    service_opts.peer_fill = serve::peek_peers(peers, peer_timeout_ms);
   }
 
   serve::CompileService service(mach, cache ? &*cache : nullptr, service_opts);

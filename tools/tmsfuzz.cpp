@@ -50,13 +50,11 @@
 #include "check/oracle.hpp"
 #include "check/shrink.hpp"
 #include "check/validate.hpp"
+#include "driver/compile.hpp"
 #include "driver/job_pool.hpp"
 #include "driver/schedule_cache.hpp"
 #include "ir/textio.hpp"
 #include "policy/policy.hpp"
-#include "sched/ims.hpp"
-#include "sched/sms.hpp"
-#include "sched/tms.hpp"
 #include "serve/frame.hpp"
 #include "serve/handler.hpp"
 #include "serve/message.hpp"
@@ -171,37 +169,26 @@ void inject_off_by_one(sched::Schedule& s) {
 std::optional<std::string> run_one(const ir::Loop& loop, const machine::MachineModel& mach,
                                    const machine::SpmtConfig& cfg, const std::string& scheduler,
                                    std::int64_t iters, bool inject_bug) {
-  std::optional<sched::Schedule> schedule;
-  check::CheckOptions check_opts;
-  if (scheduler == "sms") {
-    if (auto r = sched::sms_schedule(loop, mach)) schedule.emplace(std::move(r->schedule));
-  } else if (scheduler == "ims") {
-    if (auto r = sched::ims_schedule(loop, mach)) schedule.emplace(std::move(r->schedule));
-  } else {
-    if (auto r = sched::tms_schedule(loop, mach, cfg)) {
-      check_opts.c_delay_threshold = r->c_delay_threshold;
-      check_opts.p_max = r->p_max;
-      schedule.emplace(std::move(r->schedule));
-    }
-  }
-  if (!schedule.has_value()) return scheduler + " found no schedule";
+  std::optional<driver::Compiled> compiled = driver::schedule_loop(loop, mach, cfg, scheduler);
+  if (!compiled.has_value()) return scheduler + " found no schedule";
+  sched::Schedule& schedule = compiled->schedule;
 
-  if (inject_bug) inject_off_by_one(*schedule);
+  if (inject_bug) inject_off_by_one(schedule);
 
-  const check::CheckReport valid = check::validate_schedule(*schedule, cfg, check_opts);
+  const check::CheckReport valid = check::validate_schedule(schedule, cfg, compiled->check_opts);
   if (!valid.ok()) return "validator: " + valid.to_string();
 
   // lower_kernel aborts on modulo-invalid schedules; the validator above
   // subsumes that check, so reaching this point is safe.
-  const codegen::KernelProgram kp = codegen::lower_kernel(*schedule, cfg);
-  const check::CheckReport lowered = check::validate_kernel_program(kp, *schedule, cfg);
+  const codegen::KernelProgram kp = codegen::lower_kernel(schedule, cfg);
+  const check::CheckReport lowered = check::validate_kernel_program(kp, schedule, cfg);
   if (!lowered.ok()) return "kernel program: " + lowered.to_string();
 
   check::OracleOptions oracle_opts;
   oracle_opts.iterations = iters;
   oracle_opts.stream_seed = 0x5EED ^ static_cast<std::uint64_t>(loop.num_instrs());
   const check::OracleReport oracle =
-      check::run_differential_oracle(loop, *schedule, cfg, oracle_opts);
+      check::run_differential_oracle(loop, schedule, cfg, oracle_opts);
   if (!oracle.ok()) return "oracle: " + oracle.to_string();
   return std::nullopt;
 }
@@ -539,7 +526,7 @@ int main(int argc, char** argv) {
     }
   }
   for (const std::string& s : opt.schedulers) {
-    if (s != "sms" && s != "ims" && s != "tms") {
+    if (!driver::known_scheduler(s)) {
       std::fprintf(stderr, "unknown scheduler '%s'\n", s.c_str());
       return 2;
     }

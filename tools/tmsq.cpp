@@ -15,7 +15,7 @@
 //                              the echo survived the extra hop (exit-code
 //                              contract unchanged)
 //     --scheduler sms|ims|tms  (default tms)
-//     --ncore N                (default 4)
+//     --ncore N                (default 4; 1..1024, else exit 2)
 //     --deadline-ms N          per-request deadline (0 = none)
 //     --timeout-ms N           socket send/recv timeout (default 30000)
 //     --request-id ID          end-to-end request id ([A-Za-z0-9._:-],
@@ -52,6 +52,7 @@
 #include "ir/textio.hpp"
 #include "machine/machine.hpp"
 #include "obs/trace.hpp"
+#include "policy/policy.hpp"
 #include "sched/schedule.hpp"
 #include "serve/client.hpp"
 #include "support/json.hpp"
@@ -141,7 +142,12 @@ int main(int argc, char** argv) {
     } else if (a == "--scheduler") {
       req.scheduler = next("--scheduler");
     } else if (a == "--ncore") {
-      req.ncore = std::atoi(next("--ncore"));
+      machine::SpmtConfig cfg;
+      if (const auto err = policy::parse_machine_flag(a, next("--ncore"), cfg)) {
+        std::fprintf(stderr, "%s\n", err->c_str());
+        return 2;
+      }
+      req.ncore = cfg.ncore;
     } else if (a == "--deadline-ms") {
       req.deadline_ms = std::atoll(next("--deadline-ms"));
     } else if (a == "--timeout-ms") {
