@@ -62,6 +62,8 @@ namespace tms::obs {
   X(sim_squashed_cycles,     "sim.squashed_cycles",     "cycles",     "wasted execution plus invalidation cycles of squashed threads")         \
   X(sim_send_recv_pairs,     "sim.send_recv_pairs",     "pairs",      "dynamic SEND/RECV pairs in committed threads")                          \
   X(sim_events,              "sim.events",              "events",     "events popped from the event-driven engine's clock queue (thread spawns, core wakes, squash retries)") \
+  X(sim_store_records,       "sim.store_records",       "records",    "committed stores merged into the event engine's per-address store history") \
+  X(sim_store_records_folded, "sim.store_records_folded", "records",  "store-history records removed by folding prefixes no later load can tell apart") \
   X(sim_sweep_points,        "sim.sweep_points",        "points",     "(workload, config) points simulated by driver::run_sim_sweep")          \
   X(sim_quick_estimates,     "sim.quick_estimates",     "runs",       "fast-path spmt::quick_estimate simulations (simulator-backed verify)")  \
   X(sim_bus_transfers,       "sim.bus_transfers",       "transfers",  "cross-core register transfers charged to the shared bus by committed threads") \

@@ -1,12 +1,12 @@
 #include "policy/policy.hpp"
 
 #include <algorithm>
-#include <charconv>
 #include <climits>
 #include <vector>
 
 #include "obs/counters.hpp"
 #include "support/assert.hpp"
+#include "support/parse.hpp"
 
 namespace tms::policy {
 namespace {
@@ -196,11 +196,7 @@ std::optional<std::string> parse_machine_flag(std::string_view flag, std::string
   }
   for (const IntKnob& k : kIntKnobs) {
     if (k.flag != flag) continue;
-    const char* last = value.data() + value.size();
-    const auto [end, ec] = std::from_chars(value.data(), last, cfg.*k.field);
-    if (value.empty() || ec != std::errc() || end != last) {
-      return std::string(flag) + ": '" + std::string(value) + "' is not an integer";
-    }
+    if (auto err = support::parse_int_flag(flag, value, cfg.*k.field)) return err;
     if (const auto err = machine_config_error(cfg)) return std::string(flag) + ": " + *err;
     return std::nullopt;
   }

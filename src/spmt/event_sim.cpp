@@ -18,7 +18,10 @@
 //   * Per-address store history is kept sorted by program-order key
 //     with a prefix-max-time index, turning the legacy O(stores) scan
 //     per load into a binary search plus an O(1) no-violation check
-//     (the linear scan survives only on the rare violating path).
+//     (the linear scan survives only on the rare violating path). After
+//     each commit, the prefix that no uncommitted thread can tell apart
+//     is folded into one record, so the history is bounded by the
+//     threads in flight rather than growing with N.
 //   * When the caller does not ask for the committed memory image
 //     (keep_memory == false), steady-state threads walk only the
 //     "eventful" kernel ops — ops with cross-thread register inputs,
@@ -72,6 +75,11 @@ struct AddrHist {
   std::uint64_t addr = 0;
   std::vector<StoreRec> recs;
   std::vector<std::int64_t> time_pmax;
+  /// A fold rescans and shifts the timeline, so it waits until the
+  /// timeline has doubled since the last fold (and holds at least
+  /// kMinFold records): O(1) amortised per insert.
+  static constexpr std::size_t kMinFold = 16;
+  std::size_t fold_at = kMinFold;  ///< recs.size() that triggers the next fold
 
   void insert(const StoreRec& rec) {
     // Commits happen in thread order and an address is written by one
@@ -90,6 +98,27 @@ struct AddrHist {
     for (std::size_t i = pos; i < recs.size(); ++i) {
       time_pmax[i] = (i == 0) ? recs[i].time : std::max(time_pmax[i - 1], recs[i].time);
     }
+  }
+
+  /// Folds the leading records that no later load can tell apart into
+  /// one: every later load has a key >= key_horizon and issues at or
+  /// after time_horizon, so it sees all of them as older stores that
+  /// executed in time, and only the last one's value survives. The
+  /// folded record keeps that last key and value and the prefix-max
+  /// time, so time_pmax is unchanged past it. Returns the records
+  /// removed.
+  std::size_t fold(std::int64_t key_horizon, std::int64_t time_horizon) {
+    std::size_t m = 0;
+    while (m < recs.size() && recs[m].key < key_horizon && time_pmax[m] <= time_horizon) ++m;
+    std::size_t removed = 0;
+    if (m >= 2) {
+      removed = m - 1;
+      recs[m - 1].time = time_pmax[m - 1];
+      recs.erase(recs.begin(), recs.begin() + static_cast<std::ptrdiff_t>(removed));
+      time_pmax.erase(time_pmax.begin(), time_pmax.begin() + static_cast<std::ptrdiff_t>(removed));
+    }
+    fold_at = std::max(2 * recs.size(), kMinFold);
+    return removed;
   }
 };
 
@@ -389,6 +418,8 @@ class EventEngine {
 
   std::int64_t spec_wait_cycles() const { return spec_wait_cycles_; }
   std::int64_t events_processed() const { return events_processed_; }
+  std::uint64_t store_records() const { return store_records_; }
+  std::uint64_t store_records_folded() const { return store_records_folded_; }
 
  private:
   enum class EvKind : std::uint8_t { kCoreWake, kRetry };
@@ -493,6 +524,13 @@ class EventEngine {
     core_of(k).free_at = commit_end;
     commit_end_prev_ = commit_end;
 
+    // Every later load belongs to a thread after k: it runs source
+    // iterations >= k + 2 - stage_count, and it issues no earlier than
+    // k+1's spawn, because spawns form a serial chain, starts only move
+    // later, and rows and shifts are >= 0. History older than both
+    // horizons is folded once an address's timeline has doubled.
+    fold_key_horizon_ = (k + 2 - kp_.stage_count) * loop_.num_instrs();
+    fold_time_horizon_ = cur_start_ + cfg_.c_spn;
     for (const LocalStore& ls : local_stores_) {
       bool inserted = false;
       const int idx =
@@ -501,8 +539,13 @@ class EventEngine {
         hists_.emplace_back();
         hists_.back().addr = ls.addr;
       }
-      hists_[static_cast<std::size_t>(idx)].insert(ls.rec);
+      AddrHist& hist = hists_[static_cast<std::size_t>(idx)];
+      hist.insert(ls.rec);
+      if (hist.recs.size() >= hist.fold_at) {
+        store_records_folded_ += hist.fold(fold_key_horizon_, fold_time_horizon_);
+      }
     }
+    store_records_ += local_stores_.size();
 
     ++res_.stats.threads_committed;
     res_.stats.instances_executed += wr.instances;
@@ -749,6 +792,9 @@ class EventEngine {
   /// detected when the offending (older) thread completes.
   std::uint64_t read_memory(std::uint64_t addr, std::int64_t load_key, std::int64_t t,
                             WalkResult& wr) {
+    // A folded record stands for stores this load must see as older and
+    // executed in time; a load past either horizon would make it wrong.
+    TMS_ASSERT(t >= fold_time_horizon_ && load_key >= fold_key_horizon_);
     const StoreRec* best = nullptr;
     const int hidx = addr_index_.find(addr);
     if (hidx >= 0) {
@@ -828,6 +874,10 @@ class EventEngine {
   AddrIndex addr_index_;
   std::vector<AddrHist> hists_;
   std::vector<LocalStore> local_stores_;
+  std::int64_t fold_key_horizon_ = std::numeric_limits<std::int64_t>::min();
+  std::int64_t fold_time_horizon_ = std::numeric_limits<std::int64_t>::min();
+  std::uint64_t store_records_ = 0;
+  std::uint64_t store_records_folded_ = 0;
   std::vector<std::uint64_t> committed_values_;
   std::int64_t spec_wait_cycles_ = 0;
   SpmtResult res_;
@@ -845,6 +895,8 @@ SpmtResult run_spmt_event(const ir::Loop& loop, const codegen::KernelProgram& kp
   res.stats.spec_wait_cycles = engine.spec_wait_cycles();
   obs::counters().sim_events.add(
       static_cast<std::uint64_t>(std::max<std::int64_t>(0, engine.events_processed())));
+  obs::counters().sim_store_records.add(engine.store_records());
+  obs::counters().sim_store_records_folded.add(engine.store_records_folded());
   return res;
 }
 

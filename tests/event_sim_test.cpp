@@ -8,14 +8,17 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <unordered_set>
 #include <vector>
 
 #include "codegen/kernel_program.hpp"
 #include "driver/sim_sweep.hpp"
+#include "obs/counters.hpp"
 #include "sched/tms.hpp"
 #include "spmt/estimate.hpp"
 #include "spmt/sim.hpp"
 #include "test_util.hpp"
+#include "workloads/doacross.hpp"
 #include "workloads/kernels.hpp"
 
 namespace tms {
@@ -74,12 +77,14 @@ void check_differential(const ir::Loop& loop, const codegen::KernelProgram& kp,
 
 /// The always-colliding squashy loop from oracle_test: the store sits at
 /// the end of the iteration, the dependent load of the next iteration at
-/// the start, so every younger thread squashes and re-executes.
-ir::Loop squashy_loop() {
+/// the start, so every younger thread squashes and re-executes. Other
+/// distances and probabilities give the rest of the squash-heavy
+/// DOACROSS family.
+ir::Loop squashy_loop(int distance = 1, double probability = 1.0) {
   ir::Loop loop("squashy");
   const ir::NodeId st = loop.add_instr(ir::Opcode::kStore, "st");
   const ir::NodeId ld = loop.add_instr(ir::Opcode::kLoad, "ld");
-  loop.add_mem_flow(st, ld, /*distance=*/1, /*probability=*/1.0);
+  loop.add_mem_flow(st, ld, distance, probability);
   return loop;
 }
 
@@ -215,6 +220,127 @@ TEST(EventSim, SquashyTimingOnlyBitIdentical) {
   opts.keep_memory = false;
   opts.collect_trace = true;
   check_differential(loop, kp, cfg, 7, opts, "squashy-timing");
+}
+
+// ---- Long runs: the folded store history ----------------------------------
+
+/// The event engine's store-history work over one run, from the obs
+/// counters: records committed and records removed by folds. Retained
+/// history at the end of the run is the difference.
+struct StoreHistory {
+  std::uint64_t inserted = 0;
+  std::uint64_t folded = 0;
+  std::uint64_t retained() const { return inserted - folded; }
+};
+
+spmt::SpmtResult run_event_counted(const ir::Loop& loop, const codegen::KernelProgram& kp,
+                                   const machine::SpmtConfig& cfg,
+                                   const spmt::AddressStreams& streams,
+                                   const spmt::SpmtOptions& opts, StoreHistory& hist) {
+  const obs::CountersSnapshot before = obs::counters_snapshot();
+  spmt::SpmtResult r = spmt::run_spmt_event(loop, kp, cfg, streams, opts);
+  const obs::CountersSnapshot d = obs::snapshot_delta(before, obs::counters_snapshot());
+  hist.inserted = d.value("sim.store_records");
+  hist.folded = d.value("sim.store_records_folded");
+  return r;
+}
+
+/// simulate_doacross's machine configs: the paper's ncore-4 ring, the
+/// same ring at ncore 32, and ncore-32 locality blocks of 4 with the
+/// shared bus at 8 bytes per transfer.
+std::vector<std::pair<std::string, machine::SpmtConfig>> long_run_configs() {
+  machine::SpmtConfig c4;
+  c4.ncore = 4;
+  machine::SpmtConfig c32 = c4;
+  c32.ncore = 32;
+  machine::SpmtConfig loc = c32;
+  loc.policy = machine::AllocPolicy::kLocality;
+  loc.policy_block = 4;
+  loc.bus_bytes_per_transfer = 8;
+  return {{"ncore4_modulo", c4}, {"ncore32_modulo", c32}, {"ncore32_locality", loc}};
+}
+
+/// Addresses the kernel's stores write over `iterations` source
+/// iterations.
+std::size_t store_addresses(const codegen::KernelProgram& kp, const spmt::AddressStreams& streams,
+                            std::int64_t iterations) {
+  std::unordered_set<std::uint64_t> addrs;
+  for (const codegen::KernelOp& op : kp.ops) {
+    if (!op.is_store) continue;
+    for (std::int64_t i = 0; i < iterations; ++i) addrs.insert(streams.address(op.node, i));
+  }
+  return addrs.size();
+}
+
+/// Both engines at 10,000 iterations, with keep_memory on and off and the
+/// trace on, agree bit for bit while the event engine folds its history;
+/// and the history it retains does not grow when the run is four times
+/// longer. Which records an address holds at the end of a run depends on
+/// where it stands in its fold cycle (a timeline folds once it reaches 16
+/// records or doubles), so the check is the per-address bound, over a
+/// working set that stays the same from 10k to 40k iterations. Returns
+/// the squashes of the 10k run.
+std::int64_t check_long_run(const ir::Loop& loop, const codegen::KernelProgram& kp,
+                            const machine::SpmtConfig& cfg, std::uint64_t stream_seed,
+                            const std::string& what) {
+  constexpr std::uint64_t kRecordsPerAddress = 16;
+  const spmt::AddressStreams streams = spmt::default_streams(loop, stream_seed);
+  spmt::SpmtOptions opts;
+  opts.collect_trace = true;
+  opts.iterations = 10000;
+  StoreHistory at_10k;
+  std::int64_t squashes = 0;
+  for (const bool keep_memory : {true, false}) {
+    opts.keep_memory = keep_memory;
+    const std::string w = what + (keep_memory ? " values" : " timing");
+    const spmt::SpmtResult ev = run_event_counted(loop, kp, cfg, streams, opts, at_10k);
+    const spmt::SpmtResult lg = spmt::run_spmt_legacy(loop, kp, cfg, streams, opts);
+    expect_results_identical(ev, lg, w);
+    EXPECT_GT(at_10k.folded, 0u) << w;
+    squashes = ev.stats.misspeculations;
+  }
+  const std::size_t addrs = store_addresses(kp, streams, 10000);
+  EXPECT_EQ(store_addresses(kp, streams, 40000), addrs) << what;
+  EXPECT_LE(at_10k.retained(), addrs * kRecordsPerAddress) << what;
+
+  opts.iterations = 40000;
+  StoreHistory at_40k;
+  (void)run_event_counted(loop, kp, cfg, streams, opts, at_40k);
+  EXPECT_EQ(at_40k.inserted, 4 * at_10k.inserted) << what;
+  EXPECT_LE(at_40k.retained(), addrs * kRecordsPerAddress) << what;
+  return squashes;
+}
+
+TEST(EventSimLongRun, SquashHeavyDoacrossFamilyBitIdentical) {
+  machine::MachineModel mach;
+  const std::pair<int, double> family[] = {{1, 1.0}, {2, 1.0}, {1, 0.5}};
+  for (const auto& [distance, probability] : family) {
+    const ir::Loop loop = squashy_loop(distance, probability);
+    for (const auto& [name, cfg] : long_run_configs()) {
+      const codegen::KernelProgram kp = squashy_kernel(loop, mach, cfg);
+      const std::string what = "squashy d" + std::to_string(distance) + " p" +
+                               std::to_string(probability) + " " + name;
+      const std::int64_t squashes = check_long_run(loop, kp, cfg, 7, what);
+      // Locality blocks run neighbouring iterations in order on one
+      // core, so only the ring configs must squash.
+      if (cfg.policy == machine::AllocPolicy::kModulo) {
+        EXPECT_GT(squashes, 0) << what << ": no squashes";
+      }
+    }
+  }
+}
+
+TEST(EventSimLongRun, Table3LoopsBitIdentical) {
+  machine::MachineModel mach;
+  std::uint64_t seed = 1;
+  for (const workloads::SelectedLoop& s : workloads::doacross_selected_loops()) {
+    for (const auto& [name, cfg] : long_run_configs()) {
+      const auto tms = sched::tms_schedule(s.loop, mach, cfg);
+      ASSERT_TRUE(tms.has_value()) << s.loop.name() << " " << name;
+      const codegen::KernelProgram kp = codegen::lower_kernel(tms->schedule, cfg);
+      check_long_run(s.loop, kp, cfg, seed++, s.loop.name() + " " + name);
+    }
+  }
 }
 
 // ---- Parallel sweep driver ------------------------------------------------

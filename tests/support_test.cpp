@@ -1,11 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <set>
 #include <string>
 #include <variant>
 
 #include "support/json.hpp"
 #include "support/json_parse.hpp"
+#include "support/parse.hpp"
 #include "support/rng.hpp"
 #include "support/stats.hpp"
 #include "support/table.hpp"
@@ -270,6 +272,41 @@ TEST(JsonParse, DepthIsBounded) {
   std::string fine = "[[[[[[[[[[1]]]]]]]]]]";
   const auto ok = parse_json(fine);
   EXPECT_NE(std::get_if<JsonValue>(&ok), nullptr);
+}
+
+TEST(ParseInt, AcceptsOnlyAWholeIntegerInRange) {
+  EXPECT_EQ(parse_int<int>("42"), 42);
+  EXPECT_EQ(parse_int<int>("-7"), -7);
+  EXPECT_EQ(parse_int<long long>("9000000000"), 9000000000LL);
+  EXPECT_EQ(parse_int<std::uint64_t>("18446744073709551615"), UINT64_MAX);
+  for (const char* bad : {"", "abc", "1x", "x1", " 1", "1 ", "1.5", "+1", "0x10"}) {
+    EXPECT_FALSE(parse_int<int>(bad).has_value()) << "'" << bad << "'";
+  }
+  EXPECT_FALSE(parse_int<int>("2147483648").has_value());  // out of int's range
+  EXPECT_FALSE(parse_int<std::uint64_t>("-1").has_value());
+}
+
+TEST(ParseInt, FlagErrorNamesTheFlagAndLeavesTheTargetAlone) {
+  long long n = 5;
+  EXPECT_FALSE(parse_int_flag("--simulate", "300", n).has_value());
+  EXPECT_EQ(n, 300);
+  const auto err = parse_int_flag("--simulate", "abc", n);
+  ASSERT_TRUE(err.has_value());
+  EXPECT_EQ(*err, "--simulate: 'abc' is not an integer");
+  EXPECT_EQ(n, 300);
+}
+
+TEST(ParseInt, HostPortNeedsAnIntegerPort) {
+  std::string host = "unset";
+  int port = -1;
+  EXPECT_TRUE(parse_host_port("127.0.0.1:7070", host, port));
+  EXPECT_EQ(host, "127.0.0.1");
+  EXPECT_EQ(port, 7070);
+  for (const char* bad : {"localhost", "localhost:", "localhost:80x", "localhost:http"}) {
+    EXPECT_FALSE(parse_host_port(bad, host, port)) << bad;
+  }
+  EXPECT_EQ(host, "127.0.0.1");
+  EXPECT_EQ(port, 7070);
 }
 
 }  // namespace

@@ -2,17 +2,18 @@
 # Regression test for the tmsbatch exit-code contract (docs/DRIVER.md):
 #   0  every job compiled, validated, and (if requested) passed the oracle
 #   1  any job failed, or an input could not be loaded
-#   2  usage errors (bad flags, machine flags out of range, unknown
-#      scheduler names)
+#   2  usage errors (bad flags, machine flags out of range, malformed
+#      numeric values, unknown scheduler names)
+# plus tmsc's matching exit 2 on a malformed numeric value.
 #
-# Usage: tmsbatch_exit.sh TMSBATCH LOOPS_DIR
+# Usage: tmsbatch_exit.sh TMSBATCH LOOPS_DIR TMSC
 set -u
 
-if [ "$#" -ne 2 ]; then
-  echo "usage: $0 TMSBATCH LOOPS_DIR" >&2
+if [ "$#" -ne 3 ]; then
+  echo "usage: $0 TMSBATCH LOOPS_DIR TMSC" >&2
   exit 2
 fi
-TMSBATCH=$1 LOOPS_DIR=$2
+TMSBATCH=$1 LOOPS_DIR=$2 TMSC=$3
 
 WORK=$(mktemp -d tmsbatch_exit.XXXXXX) || exit 1
 trap 'rm -rf "$WORK"' EXIT
@@ -55,5 +56,11 @@ for flag in "--ncore 0" "--ncore 1025" "--ncore abc" "--policy ring" "--policy-s
   # shellcheck disable=SC2086  # "$flag" is a flag and its value
   expect 2 "bad machine flag $flag" "$TMSBATCH" "$LOOPS_DIR/dotprod.loop" $flag --quiet
 done
+
+# exit 2: a numeric flag must be an integer as a whole (atoi used to
+# read "abc" as 0 and simulate nothing).
+expect 2 "malformed --simulate" "$TMSBATCH" "$LOOPS_DIR/dotprod.loop" --simulate abc --quiet
+expect 2 "malformed --oracle" "$TMSBATCH" "$LOOPS_DIR/dotprod.loop" --oracle 1x --quiet
+expect 2 "tmsc malformed --simulate" "$TMSC" "$LOOPS_DIR/dotprod.loop" --simulate abc
 
 exit "$fail"

@@ -31,6 +31,7 @@
 
 #include "scenarios.hpp"
 #include "support/json_parse.hpp"
+#include "support/parse.hpp"
 #include "support/table.hpp"
 
 using namespace tms;
@@ -101,9 +102,11 @@ int cmd_run(int argc, char** argv) {
     } else if (std::strcmp(a, "--baseline") == 0) {
       if (const char* v = next()) baseline_path = v; else return usage();
     } else if (std::strcmp(a, "--pr") == 0) {
-      if (const char* v = next()) pr = std::atoi(v); else return usage();
+      const char* v = next();
+      if (v == nullptr || support::parse_int_flag("--pr", v, pr)) return usage();
     } else if (std::strcmp(a, "--jobs") == 0) {
-      if (const char* v = next()) opts.jobs = std::atoi(v); else return usage();
+      const char* v = next();
+      if (v == nullptr || support::parse_int_flag("--jobs", v, opts.jobs)) return usage();
     } else if (std::strcmp(a, "--scenario") == 0) {
       if (const char* v = next()) only.emplace_back(v); else return usage();
     } else {

@@ -94,6 +94,7 @@
 #include "serve/client.hpp"
 #include "support/json.hpp"
 #include "support/json_parse.hpp"
+#include "support/parse.hpp"
 #include "workloads/kernels.hpp"
 
 using namespace tms;
@@ -170,17 +171,12 @@ void json_quantiles(support::JsonWriter& w, std::string_view key, std::vector<do
 /// serve.latency.* histograms populated with equal counts, and stage
 /// sums consistent (queue + schedule + validate <= total). Returns a
 /// failure description or nullopt.
-std::optional<std::string> check_stats(const std::string& socket_path, const std::string& tcp,
-                                       int timeout_ms, bool require_traffic) {
+std::optional<std::string> check_stats(const std::string& socket_path, const std::string& tcp_host,
+                                       int tcp_port, int timeout_ms, bool require_traffic) {
   serve::Client client;
-  std::optional<std::string> cerr;
-  if (!socket_path.empty()) {
-    cerr = client.connect_unix(socket_path, timeout_ms);
-  } else {
-    const std::size_t colon = tcp.rfind(':');
-    cerr = client.connect_tcp(tcp.substr(0, colon), std::atoi(tcp.c_str() + colon + 1),
-                              timeout_ms);
-  }
+  const std::optional<std::string> cerr =
+      socket_path.empty() ? client.connect_tcp(tcp_host, tcp_port, timeout_ms)
+                          : client.connect_unix(socket_path, timeout_ms);
   if (cerr.has_value()) return "connect: " + *cerr;
   std::string payload;
   if (const auto err = client.stats(payload)) return "stats: " + *err;
@@ -258,16 +254,22 @@ int main(int argc, char** argv) {
       }
       return argv[++i];
     };
+    auto int_arg = [&](const char* what, auto& out) {
+      if (const auto err = support::parse_int_flag(what, next(what), out)) {
+        std::fprintf(stderr, "%s\n", err->c_str());
+        std::exit(2);
+      }
+    };
     if (a == "--socket") {
       socket_path = next("--socket");
     } else if (a == "--tcp") {
       tcp = next("--tcp");
     } else if (a == "--clients") {
-      clients = std::atoi(next("--clients"));
+      int_arg("--clients", clients);
     } else if (a == "--requests") {
-      requests = std::atoll(next("--requests"));
+      int_arg("--requests", requests);
     } else if (a == "--qps") {
-      qps = std::atoll(next("--qps"));
+      int_arg("--qps", qps);
     } else if (a == "--scheduler") {
       scheduler = next("--scheduler");
     } else if (policy::is_machine_flag(a)) {
@@ -276,11 +278,11 @@ int main(int argc, char** argv) {
         return 2;
       }
     } else if (a == "--deadline-ms") {
-      deadline_ms = std::atoll(next("--deadline-ms"));
+      int_arg("--deadline-ms", deadline_ms);
     } else if (a == "--timeout-ms") {
-      timeout_ms = std::atoi(next("--timeout-ms"));
+      int_arg("--timeout-ms", timeout_ms);
     } else if (a == "--max-retries") {
-      max_retries = std::atoi(next("--max-retries"));
+      int_arg("--max-retries", max_retries);
     } else if (a == "--verify") {
       verify = true;
     } else if (a == "--expect-retry-after") {
@@ -288,7 +290,7 @@ int main(int argc, char** argv) {
     } else if (a == "--expect-stats") {
       expect_stats = true;
     } else if (a == "--cluster") {
-      cluster = std::atoi(next("--cluster"));
+      int_arg("--cluster", cluster);
       if (cluster < 1) {
         std::fprintf(stderr, "--cluster requires a positive backend count\n");
         return 2;
@@ -307,6 +309,12 @@ int main(int argc, char** argv) {
                   : socket_path.empty() == tcp.empty()) {
     std::fprintf(stderr, "exactly one of --socket / --tcp / --cluster is required\n");
     return usage(argv[0]);
+  }
+  std::string tcp_host;
+  int tcp_port = 0;
+  if (!tcp.empty() && !support::parse_host_port(tcp, tcp_host, tcp_port)) {
+    std::fprintf(stderr, "--tcp expects HOST:PORT\n");
+    return 2;
   }
   if (clients < 1 || requests < 1) {
     std::fprintf(stderr, "--clients and --requests must be positive\n");
@@ -397,14 +405,8 @@ int main(int argc, char** argv) {
   for (int c = 0; c < clients; ++c) {
     threads.emplace_back([&] {
       serve::Client client;
-      const auto cerr = socket_path.empty()
-                            ? [&] {
-                                const std::size_t colon = tcp.rfind(':');
-                                return client.connect_tcp(tcp.substr(0, colon),
-                                                          std::atoi(tcp.c_str() + colon + 1),
-                                                          timeout_ms);
-                              }()
-                            : client.connect_unix(socket_path, timeout_ms);
+      const auto cerr = socket_path.empty() ? client.connect_tcp(tcp_host, tcp_port, timeout_ms)
+                                            : client.connect_unix(socket_path, timeout_ms);
       if (cerr.has_value()) {
         std::fprintf(stderr, "loadgen: connect: %s\n", cerr->c_str());
         connect_failed.store(true, std::memory_order_release);
@@ -513,11 +515,13 @@ int main(int argc, char** argv) {
   // it must answer promptly even with the compile queue saturated.
   std::optional<std::string> stats_err;
   if (expect_stats) {
-    stats_err = check_stats(stats_socket, tcp, timeout_ms, /*require_traffic=*/false);
+    stats_err =
+        check_stats(stats_socket, tcp_host, tcp_port, timeout_ms, /*require_traffic=*/false);
   }
   for (std::thread& t : threads) t.join();
   if (expect_stats && !stats_err.has_value()) {
-    stats_err = check_stats(stats_socket, tcp, timeout_ms, /*require_traffic=*/true);
+    stats_err =
+        check_stats(stats_socket, tcp_host, tcp_port, timeout_ms, /*require_traffic=*/true);
   }
   const double wall_ms =
       std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - start).count();

@@ -68,6 +68,7 @@
 #include "policy/policy.hpp"
 #include "sched/mii.hpp"
 #include "sched/tms.hpp"
+#include "support/parse.hpp"
 #include "workloads/builder.hpp"
 #include "workloads/doacross.hpp"
 #include "workloads/kernels.hpp"
@@ -233,6 +234,12 @@ int main(int argc, char** argv) {
       }
       return argv[++i];
     };
+    auto int_arg = [&](const char* what, auto& out) {
+      if (const auto err = support::parse_int_flag(what, next(what), out)) {
+        std::fprintf(stderr, "%s\n", err->c_str());
+        std::exit(2);
+      }
+    };
     if (a == "--suite") {
       suites.push_back(next("--suite"));
     } else if (a == "--dir") {
@@ -240,13 +247,13 @@ int main(int argc, char** argv) {
     } else if (a == "--schedulers") {
       schedulers = split_csv(next("--schedulers"));
     } else if (a == "--jobs") {
-      opts.jobs = std::atoi(next("--jobs"));
+      int_arg("--jobs", opts.jobs);
     } else if (a == "--cache-dir") {
       cache_dir = next("--cache-dir");
     } else if (a == "--cache-capacity") {
-      cache_capacity = std::strtoull(next("--cache-capacity"), nullptr, 10);
+      int_arg("--cache-capacity", cache_capacity);
     } else if (a == "--cache-disk-max-bytes") {
-      cache_disk_max_bytes = std::strtoull(next("--cache-disk-max-bytes"), nullptr, 10);
+      int_arg("--cache-disk-max-bytes", cache_disk_max_bytes);
     } else if (a == "--no-cache") {
       use_cache = false;
     } else if (a == "--json") {
@@ -254,10 +261,10 @@ int main(int argc, char** argv) {
     } else if (a == "--stable-json") {
       stable_json = true;
     } else if (a == "--simulate") {
-      opts.simulate_iterations = std::atoll(next("--simulate"));
+      int_arg("--simulate", opts.simulate_iterations);
     } else if (a == "--oracle") {
       opts.run_oracle = true;
-      opts.oracle_iterations = std::atoll(next("--oracle"));
+      int_arg("--oracle", opts.oracle_iterations);
     } else if (a == "--no-validate") {
       opts.validate = false;
     } else if (policy::is_machine_flag(a)) {
@@ -266,13 +273,13 @@ int main(int argc, char** argv) {
         return 2;
       }
     } else if (a == "--seed") {
-      opts.seed = std::strtoull(next("--seed"), nullptr, 10);
+      int_arg("--seed", opts.seed);
     } else if (a == "--quiet") {
       quiet = true;
     } else if (a == "--trace") {
       trace_path = next("--trace");
     } else if (a == "--trace-buf") {
-      trace_buf = std::strtoull(next("--trace-buf"), nullptr, 10);
+      int_arg("--trace-buf", trace_buf);
     } else if (a == "--explain") {
       explain_loop = next("--explain");
     } else if (!a.empty() && a[0] == '-') {

@@ -26,6 +26,7 @@
 // Example:
 //   ./build/tools/tmsc examples/loops/dotprod.loop --simulate 2000 --metrics
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <iostream>
@@ -43,6 +44,7 @@
 #include "spmt/profile.hpp"
 #include "spmt/sim.hpp"
 #include "spmt/single_core.hpp"
+#include "support/parse.hpp"
 #include "viz/render.hpp"
 
 using namespace tms;
@@ -84,6 +86,12 @@ int main(int argc, char** argv) {
       }
       return argv[++i];
     };
+    auto int_arg = [&](const char* what, auto& out) {
+      if (const auto err = support::parse_int_flag(what, next(what), out)) {
+        std::fprintf(stderr, "%s\n", err->c_str());
+        std::exit(2);
+      }
+    };
     if (a == "--scheduler") {
       scheduler = next("--scheduler");
     } else if (policy::is_machine_flag(a)) {
@@ -92,23 +100,23 @@ int main(int argc, char** argv) {
         return 2;
       }
     } else if (a == "--unroll") {
-      unroll_factor = std::atoi(next("--unroll"));
+      int_arg("--unroll", unroll_factor);
     } else if (a == "--simulate") {
-      simulate = std::atoll(next("--simulate"));
+      int_arg("--simulate", simulate);
     } else if (a == "--baseline") {
-      baseline = std::atoll(next("--baseline"));
+      int_arg("--baseline", baseline);
     } else if (a == "--render") {
       render = next("--render");
     } else if (a == "--profile") {
-      profile = std::atoll(next("--profile"));
+      int_arg("--profile", profile);
     } else if (a == "--registers") {
-      registers = std::atoi(next("--registers"));
+      int_arg("--registers", registers);
     } else if (a == "--metrics") {
       metrics = true;
     } else if (a == "--remote") {
       remote = next("--remote");
     } else if (a == "--deadline-ms") {
-      deadline_ms = std::atoll(next("--deadline-ms"));
+      int_arg("--deadline-ms", deadline_ms);
     } else {
       return usage(argv[0]);
     }

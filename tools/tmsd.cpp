@@ -92,6 +92,7 @@
 #include "policy/policy.hpp"
 #include "serve/server.hpp"
 #include "serve/service.hpp"
+#include "support/parse.hpp"
 
 using namespace tms;
 
@@ -214,32 +215,38 @@ int main(int argc, char** argv) {
       }
       return argv[++i];
     };
+    auto int_arg = [&](const char* what, auto& out) {
+      if (const auto err = support::parse_int_flag(what, next(what), out)) {
+        std::fprintf(stderr, "%s\n", err->c_str());
+        std::exit(2);
+      }
+    };
     if (a == "--socket") {
       socket_path = next("--socket");
     } else if (a == "--tcp-port") {
-      tcp_port = std::atoi(next("--tcp-port"));
+      int_arg("--tcp-port", tcp_port);
     } else if (a == "--threads") {
-      service_opts.threads = std::atoi(next("--threads"));
+      int_arg("--threads", service_opts.threads);
     } else if (a == "--queue-capacity") {
-      service_opts.queue_capacity = std::strtoull(next("--queue-capacity"), nullptr, 10);
+      int_arg("--queue-capacity", service_opts.queue_capacity);
     } else if (a == "--retry-after-ms") {
-      service_opts.retry_after_ms = std::atoll(next("--retry-after-ms"));
+      int_arg("--retry-after-ms", service_opts.retry_after_ms);
     } else if (a == "--max-connections") {
-      server_opts.max_connections = std::atoi(next("--max-connections"));
+      int_arg("--max-connections", server_opts.max_connections);
     } else if (a == "--idle-timeout-ms") {
-      server_opts.idle_timeout_ms = std::atoll(next("--idle-timeout-ms"));
+      int_arg("--idle-timeout-ms", server_opts.idle_timeout_ms);
     } else if (a == "--cache-dir") {
       cache_dir = next("--cache-dir");
     } else if (a == "--cache-capacity") {
-      cache_capacity = std::strtoull(next("--cache-capacity"), nullptr, 10);
+      int_arg("--cache-capacity", cache_capacity);
     } else if (a == "--cache-disk-max-bytes") {
-      cache_disk_max_bytes = std::strtoull(next("--cache-disk-max-bytes"), nullptr, 10);
+      int_arg("--cache-disk-max-bytes", cache_disk_max_bytes);
     } else if (a == "--no-cache") {
       use_cache = false;
     } else if (a == "--peer") {
       peers.emplace_back(next("--peer"));
     } else if (a == "--peer-timeout-ms") {
-      peer_timeout_ms = std::atoi(next("--peer-timeout-ms"));
+      int_arg("--peer-timeout-ms", peer_timeout_ms);
     } else if (a != "--ncore" && policy::is_machine_flag(a)) {
       if (const auto err =
               policy::parse_machine_flag(a, next(a.c_str()), service_opts.machine_defaults)) {
@@ -253,17 +260,17 @@ int main(int argc, char** argv) {
     } else if (a == "--metrics-dump") {
       metrics_dump = next("--metrics-dump");
     } else if (a == "--metrics-interval-ms") {
-      metrics_interval_ms = std::atoll(next("--metrics-interval-ms"));
+      int_arg("--metrics-interval-ms", metrics_interval_ms);
     } else if (a == "--sim-verify") {
       service_opts.sim_verify = true;
     } else if (a == "--sim-verify-iters") {
-      service_opts.sim_verify_iterations = std::atoll(next("--sim-verify-iters"));
+      int_arg("--sim-verify-iters", service_opts.sim_verify_iterations);
     } else if (a == "--slow-ms") {
-      service_opts.slow_ms = std::atoll(next("--slow-ms"));
+      int_arg("--slow-ms", service_opts.slow_ms);
     } else if (a == "--slow-log") {
       slow_log_path = next("--slow-log");
     } else if (a == "--flight-size") {
-      flight_size = std::strtoull(next("--flight-size"), nullptr, 10);
+      int_arg("--flight-size", flight_size);
     } else if (a == "--flight-dump") {
       flight_dump = next("--flight-dump");
     } else {

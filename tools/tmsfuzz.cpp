@@ -59,6 +59,7 @@
 #include "serve/handler.hpp"
 #include "serve/message.hpp"
 #include "support/assert.hpp"
+#include "support/parse.hpp"
 #include "support/rng.hpp"
 #include "workloads/builder.hpp"
 
@@ -501,16 +502,22 @@ int main(int argc, char** argv) {
       }
       return argv[++i];
     };
+    auto int_arg = [&](const char* what, auto& out) {
+      if (const auto err = support::parse_int_flag(what, next(what), out)) {
+        std::fprintf(stderr, "%s\n", err->c_str());
+        std::exit(2);
+      }
+    };
     if (a == "--seeds") {
-      opt.seeds = std::strtoull(next("--seeds"), nullptr, 10);
+      int_arg("--seeds", opt.seeds);
     } else if (a == "--start-seed") {
-      opt.start_seed = std::strtoull(next("--start-seed"), nullptr, 10);
+      int_arg("--start-seed", opt.start_seed);
     } else if (a == "--iters") {
-      opt.iters = std::atoll(next("--iters"));
+      int_arg("--iters", opt.iters);
     } else if (a == "--schedulers") {
       opt.schedulers = split_csv(next("--schedulers"));
     } else if (a == "--jobs") {
-      opt.jobs = std::atoi(next("--jobs"));
+      int_arg("--jobs", opt.jobs);
     } else if (a == "--out") {
       opt.out_dir = next("--out");
     } else if (a == "--policy") {

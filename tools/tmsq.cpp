@@ -56,6 +56,7 @@
 #include "sched/schedule.hpp"
 #include "serve/client.hpp"
 #include "support/json.hpp"
+#include "support/parse.hpp"
 #include "viz/render.hpp"
 
 using namespace tms;
@@ -132,6 +133,12 @@ int main(int argc, char** argv) {
       }
       return argv[++i];
     };
+    auto int_arg = [&](const char* what, auto& out) {
+      if (const auto err = support::parse_int_flag(what, next(what), out)) {
+        std::fprintf(stderr, "%s\n", err->c_str());
+        std::exit(2);
+      }
+    };
     if (a == "--socket") {
       socket_path = next("--socket");
     } else if (a == "--router") {
@@ -149,9 +156,9 @@ int main(int argc, char** argv) {
       }
       req.ncore = cfg.ncore;
     } else if (a == "--deadline-ms") {
-      req.deadline_ms = std::atoll(next("--deadline-ms"));
+      int_arg("--deadline-ms", req.deadline_ms);
     } else if (a == "--timeout-ms") {
-      timeout_ms = std::atoi(next("--timeout-ms"));
+      int_arg("--timeout-ms", timeout_ms);
     } else if (a == "--request-id") {
       req.request_id = next("--request-id");
       if (!serve::valid_request_id(req.request_id)) {
@@ -191,13 +198,13 @@ int main(int argc, char** argv) {
   if (!socket_path.empty()) {
     err = client.connect_unix(socket_path, timeout_ms);
   } else {
-    const std::size_t colon = tcp.rfind(':');
-    if (colon == std::string::npos) {
+    std::string host;
+    int port = 0;
+    if (!support::parse_host_port(tcp, host, port)) {
       std::fprintf(stderr, "--tcp expects HOST:PORT\n");
       return 2;
     }
-    err = client.connect_tcp(tcp.substr(0, colon), std::atoi(tcp.c_str() + colon + 1),
-                             timeout_ms);
+    err = client.connect_tcp(host, port, timeout_ms);
   }
   if (err.has_value()) {
     std::fprintf(stderr, "tmsq: %s\n", err->c_str());

@@ -70,6 +70,7 @@
 #include "obs/prometheus.hpp"
 #include "router/router.hpp"
 #include "serve/server.hpp"
+#include "support/parse.hpp"
 
 using namespace tms;
 
@@ -149,34 +150,40 @@ int main(int argc, char** argv) {
       }
       return argv[++i];
     };
+    auto int_arg = [&](const char* what, auto& out) {
+      if (const auto err = support::parse_int_flag(what, next(what), out)) {
+        std::fprintf(stderr, "%s\n", err->c_str());
+        std::exit(2);
+      }
+    };
     if (a == "--socket") {
       socket_path = next("--socket");
     } else if (a == "--tcp-port") {
-      tcp_port = std::atoi(next("--tcp-port"));
+      int_arg("--tcp-port", tcp_port);
     } else if (a == "--backend") {
       ropts.backends.emplace_back(next("--backend"));
     } else if (a == "--vnodes") {
-      ropts.vnodes = std::atoi(next("--vnodes"));
+      int_arg("--vnodes", ropts.vnodes);
     } else if (a == "--retries") {
-      ropts.retries = std::atoi(next("--retries"));
+      int_arg("--retries", ropts.retries);
     } else if (a == "--hedges") {
-      ropts.hedges = std::atoi(next("--hedges"));
+      int_arg("--hedges", ropts.hedges);
     } else if (a == "--retry-sleep-cap-ms") {
-      ropts.retry_sleep_cap_ms = std::atoll(next("--retry-sleep-cap-ms"));
+      int_arg("--retry-sleep-cap-ms", ropts.retry_sleep_cap_ms);
     } else if (a == "--backend-timeout-ms") {
-      ropts.backend_timeout_ms = std::atoi(next("--backend-timeout-ms"));
+      int_arg("--backend-timeout-ms", ropts.backend_timeout_ms);
     } else if (a == "--probe-interval-ms") {
-      ropts.probe_interval_ms = std::atoll(next("--probe-interval-ms"));
+      int_arg("--probe-interval-ms", ropts.probe_interval_ms);
     } else if (a == "--probe-timeout-ms") {
-      ropts.probe_timeout_ms = std::atoi(next("--probe-timeout-ms"));
+      int_arg("--probe-timeout-ms", ropts.probe_timeout_ms);
     } else if (a == "--eject-after") {
-      ropts.eject_after = std::atoi(next("--eject-after"));
+      int_arg("--eject-after", ropts.eject_after);
     } else if (a == "--retry-after-ms") {
-      ropts.retry_after_ms = std::atoll(next("--retry-after-ms"));
+      int_arg("--retry-after-ms", ropts.retry_after_ms);
     } else if (a == "--max-connections") {
-      server_opts.max_connections = std::atoi(next("--max-connections"));
+      int_arg("--max-connections", server_opts.max_connections);
     } else if (a == "--idle-timeout-ms") {
-      server_opts.idle_timeout_ms = std::atoll(next("--idle-timeout-ms"));
+      int_arg("--idle-timeout-ms", server_opts.idle_timeout_ms);
     } else if (a == "--counters") {
       print_counters = true;
     } else if (a == "--metrics-dump") {
@@ -184,7 +191,7 @@ int main(int argc, char** argv) {
     } else if (a == "--cluster-metrics-dump") {
       cluster_metrics_dump = next("--cluster-metrics-dump");
     } else if (a == "--metrics-interval-ms") {
-      metrics_interval_ms = std::atoll(next("--metrics-interval-ms"));
+      int_arg("--metrics-interval-ms", metrics_interval_ms);
     } else {
       return usage(argv[0]);
     }

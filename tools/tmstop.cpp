@@ -49,6 +49,7 @@
 
 #include "serve/client.hpp"
 #include "support/json_parse.hpp"
+#include "support/parse.hpp"
 
 using namespace tms;
 
@@ -358,14 +359,20 @@ int main(int argc, char** argv) {
       }
       return argv[++i];
     };
+    auto int_arg = [&](const char* what, auto& out) {
+      if (const auto err = support::parse_int_flag(what, next(what), out)) {
+        std::fprintf(stderr, "%s\n", err->c_str());
+        std::exit(2);
+      }
+    };
     if (a == "--socket") {
       socket_path = next("--socket");
     } else if (a == "--tcp") {
       tcp = next("--tcp");
     } else if (a == "--interval-ms") {
-      interval_ms = std::atoll(next("--interval-ms"));
+      int_arg("--interval-ms", interval_ms);
     } else if (a == "--count") {
-      count = std::atoll(next("--count"));
+      int_arg("--count", count);
     } else if (a == "--expect-traffic") {
       expect_traffic = true;
     } else if (a == "--cluster") {
@@ -391,12 +398,13 @@ int main(int argc, char** argv) {
   if (!socket_path.empty()) {
     cerr = client.connect_unix(socket_path);
   } else {
-    const std::size_t colon = tcp.rfind(':');
-    if (colon == std::string::npos) {
+    std::string host;
+    int port = 0;
+    if (!support::parse_host_port(tcp, host, port)) {
       std::fprintf(stderr, "--tcp expects HOST:PORT\n");
       return 2;
     }
-    cerr = client.connect_tcp(tcp.substr(0, colon), std::atoi(tcp.c_str() + colon + 1));
+    cerr = client.connect_tcp(host, port);
   }
   if (cerr.has_value()) {
     std::fprintf(stderr, "tmstop: %s\n", cerr->c_str());
