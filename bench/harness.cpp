@@ -1,19 +1,17 @@
 #include "harness.hpp"
 
-#include <algorithm>
-#include <chrono>
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
 
 #include "codegen/kernel_program.hpp"
 #include "driver/job_pool.hpp"
 #include "obs/counters.hpp"
 #include "spmt/address.hpp"
 #include "support/assert.hpp"
+#include "support/file.hpp"
 #include "support/json.hpp"
+#include "support/parse.hpp"
 #include "workloads/builder.hpp"
 #include "workloads/doacross.hpp"
 #include "workloads/spec_suite.hpp"
@@ -125,102 +123,59 @@ AggregateSpeedup aggregate_speedups(const std::vector<double>& speedup,
   return out;
 }
 
-double sample_quantile(std::vector<double> xs, double p) {
-  if (xs.empty()) return 0.0;
-  std::sort(xs.begin(), xs.end());
-  if (p <= 0.0) return xs.front();
-  if (p >= 1.0) return xs.back();
-  const double pos = p * static_cast<double>(xs.size() - 1);
-  const auto lo = static_cast<std::size_t>(pos);
-  const double frac = pos - static_cast<double>(lo);
-  if (lo + 1 >= xs.size()) return xs.back();
-  return xs[lo] * (1.0 - frac) + xs[lo + 1] * frac;
-}
+namespace {
 
-SteadyTiming summarise_steady(const std::vector<double>& ns, int warmup) {
-  SteadyTiming t;
-  t.warmup = std::min<int>(warmup, static_cast<int>(ns.size()));
-  std::vector<double> steady(ns.begin() + t.warmup, ns.end());
-  t.samples = static_cast<int>(steady.size());
-  if (steady.empty()) return t;
-  double sum = 0.0;
-  t.min_ns = steady.front();
-  t.max_ns = steady.front();
-  for (const double x : steady) {
-    sum += x;
-    t.min_ns = std::min(t.min_ns, x);
-    t.max_ns = std::max(t.max_ns, x);
-  }
-  t.mean_ns = sum / static_cast<double>(steady.size());
-  t.p50_ns = sample_quantile(steady, 0.50);
-  t.p90_ns = sample_quantile(steady, 0.90);
-  t.p99_ns = sample_quantile(steady, 0.99);
-  return t;
-}
-
-SteadyTiming measure_steady(int warmup, int samples, const std::function<void()>& fn) {
-  for (int i = 0; i < warmup; ++i) fn();
-  std::vector<double> ns;
-  ns.reserve(static_cast<std::size_t>(samples));
-  for (int i = 0; i < samples; ++i) {
-    const auto start = std::chrono::steady_clock::now();
-    fn();
-    ns.push_back(std::chrono::duration<double, std::nano>(
-                     std::chrono::steady_clock::now() - start)
-                     .count());
-  }
-  SteadyTiming t = summarise_steady(ns, /*warmup=*/0);
-  t.warmup = warmup;
-  return t;
-}
-
-void append_steady_timing(support::JsonWriter& w, const std::string& prefix,
-                          const SteadyTiming& t) {
-  w.member(prefix + "p50", t.p50_ns / 1e3);
-  w.member(prefix + "p90", t.p90_ns / 1e3);
-  w.member(prefix + "p99", t.p99_ns / 1e3);
-  w.member(prefix + "mean", t.mean_ns / 1e3);
-  w.member(prefix + "min", t.min_ns / 1e3);
-  w.member(prefix + "max", t.max_ns / 1e3);
-  w.member(prefix + "warmup", t.warmup);
-  w.member(prefix + "samples", t.samples);
-}
-
-std::int64_t iterations_arg(int argc, char** argv, std::int64_t fallback) {
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::strcmp(argv[i], "--iterations") == 0) {
-      return std::atoll(argv[i + 1]);
+/// The value that follows `flag` in argv, or nullptr when the flag is
+/// absent. A flag with nothing after it is a usage error (exit 2).
+const char* flag_value(int argc, char** argv, const char* flag) {
+  for (int i = 1; i < argc; ++i) {
+    if (std::strcmp(argv[i], flag) != 0) continue;
+    if (i + 1 >= argc) {
+      std::fprintf(stderr, "%s requires an argument\n", flag);
+      std::exit(2);
     }
-  }
-  return fallback;
-}
-
-int jobs_arg(int argc, char** argv, int fallback) {
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::strcmp(argv[i], "--jobs") == 0) {
-      return std::atoi(argv[i + 1]);
-    }
-  }
-  return fallback;
-}
-
-const char* json_path_arg(int argc, char** argv) {
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::strcmp(argv[i], "--json") == 0) {
-      return argv[i + 1];
-    }
+    return argv[i + 1];
   }
   return nullptr;
 }
 
+/// `flag`'s integer value, or `fallback` when the flag is absent. A
+/// value that is not an integer, or is below `min`, exits 2.
+template <typename T>
+T int_flag(int argc, char** argv, const char* flag, T min, T fallback) {
+  const char* text = flag_value(argc, argv, flag);
+  if (text == nullptr) return fallback;
+  T value = fallback;
+  if (const auto err = support::parse_int_flag(flag, text, value)) {
+    std::fprintf(stderr, "%s\n", err->c_str());
+    std::exit(2);
+  }
+  if (value < min) {
+    std::fprintf(stderr, "%s: must be >= %lld, got %s\n", flag, static_cast<long long>(min),
+                 text);
+    std::exit(2);
+  }
+  return value;
+}
+
+}  // namespace
+
+std::int64_t iterations_arg(int argc, char** argv, std::int64_t fallback) {
+  return int_flag<std::int64_t>(argc, argv, "--iterations", 1, fallback);
+}
+
+int jobs_arg(int argc, char** argv, int fallback) {
+  return int_flag<int>(argc, argv, "--jobs", 0, fallback);
+}
+
+const char* json_path_arg(int argc, char** argv) { return flag_value(argc, argv, "--json"); }
+
 bool write_text_file(const std::string& path, const std::string& text) {
-  std::ofstream out(path);
-  if (!out) {
-    std::fprintf(stderr, "cannot write %s\n", path.c_str());
+  if (const auto err = support::write_file_atomic(path, text)) {
+    std::fprintf(stderr, "%s\n", err->c_str());
     return false;
   }
-  out << text;
-  return static_cast<bool>(out);
+  return true;
 }
 
 void append_counters(support::JsonWriter& w) {

@@ -7,7 +7,6 @@
 // law over the benchmark's coverage.
 #pragma once
 
-#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
@@ -83,63 +82,27 @@ struct AggregateSpeedup {
 AggregateSpeedup aggregate_speedups(const std::vector<double>& speedup,
                                     const std::vector<double>& coverage);
 
-// ---- Steady-state timing ------------------------------------------------
-//
-// Trajectory points (docs/BENCHMARKS.md) are only comparable across PRs if
-// every binary measures the same way: discard warmup iterations (first-run
-// effects — cold caches, lazy allocation, branch-predictor training — are
-// not the steady state a service runs at) and report the distribution, not
-// just the mean (one slow outlier should move p99, not poison p50).
-
-/// Summary of a steady-state timing run. All times in nanoseconds.
-struct SteadyTiming {
-  int warmup = 0;   ///< discarded leading iterations
-  int samples = 0;  ///< measured iterations
-  double p50_ns = 0.0;
-  double p90_ns = 0.0;
-  double p99_ns = 0.0;
-  double mean_ns = 0.0;
-  double min_ns = 0.0;
-  double max_ns = 0.0;
-};
-
-/// Exact sample quantile with linear interpolation between order
-/// statistics; `p` in [0,1]. Sorts a copy; returns 0 on an empty sample.
-double sample_quantile(std::vector<double> xs, double p);
-
-/// Summarises an already-collected sample vector (nanoseconds), dropping
-/// the first `warmup` entries. Collection order is preserved until the
-/// drop, so interleaved warmups must be excluded by the caller instead.
-SteadyTiming summarise_steady(const std::vector<double>& ns, int warmup);
-
-/// Runs `fn` `warmup` times untimed, then `samples` timed repetitions,
-/// and summarises the steady-state distribution of one call.
-SteadyTiming measure_steady(int warmup, int samples, const std::function<void()>& fn);
-
-/// Appends p50/p90/p99/mean/min/max (in microseconds, the natural unit of
-/// every scenario in the tree) plus warmup/sample counts to an open JSON
-/// object, prefixing each key with `prefix` (e.g. "schedule_us_").
-void append_steady_timing(support::JsonWriter& w, const std::string& prefix,
-                          const SteadyTiming& t);
-
-/// Parses an optional "--iterations N" / env-style argv override used by
-/// the bench binaries; returns `fallback` when absent.
+/// Parses an optional "--iterations N" used by the bench binaries;
+/// returns `fallback` when absent. A value that is not an integer >= 1
+/// is a usage error: the binary exits 2 with a message naming the flag.
 std::int64_t iterations_arg(int argc, char** argv, std::int64_t fallback);
 
 /// Parses "--jobs N"; returns `fallback` when absent (0 lets the JobPool
-/// pick hardware_concurrency).
+/// pick hardware_concurrency). A value that is not an integer >= 0 exits
+/// 2 the same way.
 int jobs_arg(int argc, char** argv, int fallback = 0);
 
 /// Parses "--json PATH"; returns nullptr when absent.
 const char* json_path_arg(int argc, char** argv);
 
-/// Writes `text` to `path`; returns false (with a message on stderr) on
-/// failure. Used by the bench binaries' --json emitters.
+/// Writes `text` to `path` (support::write_file_atomic); returns false
+/// (with a message on stderr) on failure. Used by the bench binaries'
+/// --json emitters.
 bool write_text_file(const std::string& path, const std::string& text);
 
 /// Appends an "observability" member — the full process counter snapshot
 /// (obs/counters) — to an open JSON object. Called by the bench binaries'
-/// --json emitters so trajectory files carry the work counters (slots
+/// --json emitters so their reports carry the work counters (slots
 /// tried, squashes, sync stalls, ...) alongside the results.
 void append_counters(support::JsonWriter& w);
 

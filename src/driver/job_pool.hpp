@@ -82,9 +82,10 @@ class JobPool {
   static int default_threads();
 
   /// Runs jobs 0..count-1, each exactly once, across the pool's workers.
-  /// The calling thread acts as worker 0 (so a 1-thread pool runs the
-  /// batch inline, with zero thread overhead and strict submission
-  /// order). If a job throws, the remaining jobs still run and the first
+  /// The calling thread acts as worker 0, so a 1-thread pool runs the
+  /// batch inline with zero thread overhead — in reverse submission
+  /// order, since the owner pops its deque LIFO (count-1 first, 0 last).
+  /// If a job throws, the remaining jobs still run and the first
   /// captured exception is rethrown after every worker has drained.
   void run(std::size_t count, const std::function<void(std::size_t)>& body);
 

@@ -1,7 +1,7 @@
 #include "driver/sim_sweep.hpp"
 
+#include <algorithm>
 #include <exception>
-#include <memory>
 
 #include "driver/job_pool.hpp"
 #include "obs/counters.hpp"
@@ -34,25 +34,11 @@ std::vector<SimSweepOutcome> run_sim_sweep(const std::vector<SimSweepPoint>& poi
                                            const SimSweepOptions& opts) {
   TMS_TRACE_SPAN(span, "driver", "driver.sim_sweep");
   std::vector<SimSweepOutcome> results(points.size());
-  if (!points.empty()) {
-    const int threads = opts.threads > 0 ? opts.threads : JobPool::default_threads();
-    if (threads <= 1 || points.size() == 1) {
-      for (std::size_t i = 0; i < points.size(); ++i) results[i] = run_point(points[i]);
-    } else {
-      TaskPool pool(threads, points.size());
-      std::vector<std::shared_ptr<TaskPool::Task>> tasks(points.size());
-      for (std::size_t i = 0; i < points.size(); ++i) {
-        tasks[i] = pool.try_submit([&results, &points, i] { results[i] = run_point(points[i]); });
-        // Capacity equals the point count, so submission cannot fail; be
-        // safe anyway and run rejected points inline.
-        if (tasks[i] == nullptr) results[i] = run_point(points[i]);
-      }
-      for (const auto& t : tasks) {
-        if (t != nullptr) t->wait();
-      }
-      pool.shutdown(TaskPool::Drain::kFinishQueued);
-    }
-  }
+  // No more workers than points: a spare worker would only start a
+  // thread that finds nothing to steal.
+  const int threads = opts.threads > 0 ? opts.threads : JobPool::default_threads();
+  JobPool(static_cast<int>(std::min<std::size_t>(threads, points.size())))
+      .run(points.size(), [&](std::size_t i) { results[i] = run_point(points[i]); });
   obs::counters().sim_sweep_points.add(points.size());
   TMS_TRACE_SPAN_ARG(span, obs::targ("points", static_cast<std::int64_t>(points.size())));
   return results;

@@ -1,5 +1,5 @@
 // Parallel simulator sweeps: run independent (workload, config)
-// simulation points concurrently on a driver::TaskPool.
+// simulation points concurrently on a driver::JobPool.
 //
 // The ncore=16/32/64 scaling studies simulate the same kernels under
 // many machine configs; every point is an independent run_spmt call, so
@@ -47,9 +47,10 @@ struct SimSweepOptions {
   int threads = 0;  ///< workers; <= 0 selects JobPool::default_threads()
 };
 
-/// Runs every point, in parallel, returning outcomes indexed exactly
-/// like `points`. Per-point failures are captured in the outcome, never
-/// thrown.
+/// Runs every point on a JobPool of `opts.threads` workers (one worker
+/// runs them inline on the calling thread), returning outcomes indexed
+/// exactly like `points`. Per-point failures are captured in the
+/// outcome, never thrown.
 std::vector<SimSweepOutcome> run_sim_sweep(const std::vector<SimSweepPoint>& points,
                                            const SimSweepOptions& opts = {});
 

@@ -1,6 +1,6 @@
 // In-process cluster harness: N tmsd-shaped backends behind a Router.
 //
-// loadgen --cluster, the benchgate cluster-scaling scenario, and
+// loadgen --cluster, the benchmark's serve_mix workload, and
 // router_test all need the same topology — N CompileServices, each with
 // its own ScheduleCache and SocketServer on a Unix socket, all-to-all
 // peer-fill wiring, and a Router (also behind a SocketServer) in front

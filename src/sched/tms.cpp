@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
-#include <cstdlib>
 #include <optional>
 #include <utility>
 
@@ -302,10 +300,6 @@ std::optional<Schedule> try_thresholds(const ir::Loop& loop, const machine::Mach
       };
       if (ejections_left-- <= 0) return std::nullopt;
       if (!eject(/*successors=*/true) && !eject(/*successors=*/false)) {
-        if (std::getenv("TMS_DEBUG_SLOTS") != nullptr) {
-          std::fprintf(stderr, "TMS: no slot for %s (II=%d, Cd=%d, window %zu cands)\n",
-                       loop.instr(v).name.c_str(), ii, c_delay, w.candidates.size());
-        }
         return std::nullopt;  // unconstrained failure: resources alone
       }
       // Placements changed: rebuild the inter-thread dependence sets.

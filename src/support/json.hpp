@@ -1,7 +1,7 @@
 // Minimal streaming JSON writer.
 //
 // The batch driver and the bench binaries emit machine-readable reports
-// (BatchReport JSON, BENCH_*.json trajectory files); the matching
+// (BatchReport JSON, the bench binaries' --json output); the matching
 // strict reader lives in support/json_parse.hpp. Output is compact (no whitespace)
 // and fully deterministic: the same sequence of calls yields the same
 // bytes, which is what lets driver_test assert byte-identical reports

@@ -16,6 +16,7 @@
 #include "obs/counters.hpp"
 #include "sched/tms.hpp"
 #include "spmt/estimate.hpp"
+#include "spmt/reference.hpp"
 #include "spmt/sim.hpp"
 #include "test_util.hpp"
 #include "workloads/doacross.hpp"
@@ -339,6 +340,53 @@ TEST(EventSimLongRun, Table3LoopsBitIdentical) {
       ASSERT_TRUE(tms.has_value()) << s.loop.name() << " " << name;
       const codegen::KernelProgram kp = codegen::lower_kernel(tms->schedule, cfg);
       check_long_run(s.loop, kp, cfg, seed++, s.loop.name() + " " + name);
+    }
+  }
+}
+
+/// An intra-iteration write-after-read with no DDG edge: `ld` reads A[i]
+/// and the program-order-later `st` writes A[i], both on one strided
+/// stream over a `span`-byte array. The store sits in stage 0 and the
+/// load in stage 1, so the store of iteration i joins the history when
+/// thread i commits, before thread i+1 runs the load of iteration i, and
+/// that load must still read what iteration i - span/8 stored. Those are
+/// exactly the records a key horizon one iteration too far would fold
+/// into the history the load reads; the default streams never give a
+/// load the address a store of its own or a later iteration writes.
+TEST(EventSimLongRun, WriteAfterReadAcrossStagesMatchesReference) {
+  machine::MachineModel mach;
+  ir::Loop loop("war");
+  const ir::NodeId ld = loop.add_instr(ir::Opcode::kLoad, "ld");
+  const ir::NodeId st = loop.add_instr(ir::Opcode::kStore, "st");
+  constexpr std::int64_t kIterations = 4000;
+  for (const std::uint64_t span : {64u, 256u}) {
+    spmt::AddressStreams streams(loop.num_instrs());
+    streams.set(ld, spmt::AddressStreams::strided(1u << 20, 8, span));
+    streams.set(st, spmt::AddressStreams::strided(1u << 20, 8, span));
+    const spmt::ReferenceResult ref = spmt::run_reference(loop, streams, kIterations);
+    for (const int st_slot : {0, 3}) {
+      for (const int ld_slot : {17, 20}) {
+        for (const auto& [name, cfg] : long_run_configs()) {
+          sched::Schedule s(loop, mach, 16);
+          s.set_slot(ld, ld_slot);
+          s.set_slot(st, st_slot);
+          ASSERT_FALSE(s.validate().has_value());
+          const codegen::KernelProgram kp = codegen::lower_kernel(s, cfg);
+          ASSERT_EQ(kp.stage_count, 2);
+          const std::string what = "war span " + std::to_string(span) + " st@" +
+                                   std::to_string(st_slot) + " ld@" + std::to_string(ld_slot) +
+                                   " " + name;
+          spmt::SpmtOptions opts;
+          opts.iterations = kIterations;
+          StoreHistory hist;
+          const spmt::SpmtResult ev = run_event_counted(loop, kp, cfg, streams, opts, hist);
+          const spmt::SpmtResult lg = spmt::run_spmt_legacy(loop, kp, cfg, streams, opts);
+          expect_results_identical(ev, lg, what);
+          EXPECT_GT(hist.folded, 0u) << what;
+          EXPECT_EQ(ev.value_fingerprint, ref.value_fingerprint) << what;
+          EXPECT_EQ(ev.memory, ref.memory) << what;
+        }
+      }
     }
   }
 }

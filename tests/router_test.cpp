@@ -8,6 +8,7 @@
 #include <unistd.h>
 
 #include <filesystem>
+#include <future>
 #include <map>
 #include <optional>
 #include <set>
@@ -28,6 +29,7 @@
 #include "serve/server.hpp"
 #include "serve/service.hpp"
 #include "support/json_parse.hpp"
+#include "test_util.hpp"
 #include "workloads/kernels.hpp"
 
 namespace tms {
@@ -379,6 +381,75 @@ TEST_F(RouterSocketTest, PolicyAndBusFieldsAreInTheRoutingKey) {
   }
   client.close();
   lc.stop();
+}
+
+// ---- aggregate cache capacity --------------------------------------------
+
+/// Cache hits on the second of two passes, by one client through a
+/// LocalCluster of `backends` shards, over a cyclic working set of
+/// `working_set` distinct loops. Each shard's ScheduleCache holds
+/// `capacity` entries (LRU, split over 16 internal shards). Peer fill is
+/// off, so a hit can only come from the shard the ring routed the key to.
+/// The sockets live in the fixed directory `dir`: the ring hashes backend
+/// addresses, so a fixed path fixes which shard owns which key. The
+/// requests ask for SMS, which keeps a miss cheap; the cache and the ring
+/// treat every scheduler alike.
+int second_pass_hits(const std::string& dir, int backends, int working_set,
+                     std::size_t capacity) {
+  const machine::MachineModel mach;
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+  router::LocalClusterOptions opts;
+  opts.backends = backends;
+  opts.cache_capacity = capacity;
+  opts.peer_fill = false;
+  opts.dir = dir;
+  router::LocalCluster lc(mach, opts);
+  EXPECT_FALSE(lc.start().has_value());
+
+  serve::Client client;
+  EXPECT_FALSE(client.connect_unix(lc.router_socket()).has_value());
+  ir::Loop loop = test::tiny_recurrence();
+  int hits = 0;
+  std::uint64_t id = 0;
+  for (int pass = 0; pass < 2; ++pass) {
+    for (int i = 0; i < working_set; ++i) {
+      loop.set_name("ws" + std::to_string(i));  // the name is part of the cache key
+      serve::Request req;
+      req.id = ++id;
+      req.scheduler = "sms";
+      req.loop = loop;
+      const auto resp = client.compile(req);
+      const auto* ok = std::get_if<serve::Response>(&resp);
+      EXPECT_TRUE(ok != nullptr && ok->ok) << "request " << id;
+      if (ok != nullptr && ok->cache_hit) {
+        EXPECT_EQ(pass, 1) << "a first-pass hit on a cold cluster";
+        ++hits;
+      }
+    }
+  }
+  client.close();
+  lc.stop();
+  fs::remove_all(dir);
+  return hits;
+}
+
+TEST(RouterCapacity, TwoShardsHoldAWorkingSetThatThrashesOne) {
+  // 512 loops against 192 entries a shard (12 per internal LRU shard):
+  // one shard sees ~32 keys per internal shard (none as few as 12) and
+  // evicts each before the cycle comes back to it; two shards see ~16
+  // each, and the internal shards left with at most 12 keep theirs.
+  constexpr int kWorkingSet = 512;
+  constexpr std::size_t kCapacity = 192;
+  // The two clusters run side by side, each with its own client and
+  // directory, so each still sees one fixed request order, and the test
+  // waits out one teardown (a drain per socket server) instead of two.
+  auto one = std::async(std::launch::async, second_pass_hits, "router_test.capacity1", 1,
+                        kWorkingSet, kCapacity);
+  auto two = std::async(std::launch::async, second_pass_hits, "router_test.capacity2", 2,
+                        kWorkingSet, kCapacity);
+  EXPECT_EQ(one.get(), 0);
+  EXPECT_GT(two.get(), 0);
 }
 
 // ---- ejection ------------------------------------------------------------

@@ -1,10 +1,16 @@
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <cstdint>
+#include <filesystem>
+#include <fstream>
 #include <set>
+#include <sstream>
 #include <string>
 #include <variant>
 
+#include "support/file.hpp"
 #include "support/json.hpp"
 #include "support/json_parse.hpp"
 #include "support/parse.hpp"
@@ -307,6 +313,62 @@ TEST(ParseInt, HostPortNeedsAnIntegerPort) {
   }
   EXPECT_EQ(host, "127.0.0.1");
   EXPECT_EQ(port, 7070);
+}
+
+// ---- write_file_atomic ---------------------------------------------------
+
+namespace fs = std::filesystem;
+
+/// A fresh directory under the working directory, removed with
+/// the fixture.
+class WriteFileAtomic : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    dir_ = "support_test." + std::to_string(::getpid());
+    fs::remove_all(dir_);
+    fs::create_directories(dir_);
+    path_ = dir_ + "/dump.txt";
+  }
+  void TearDown() override { fs::remove_all(dir_); }
+
+  std::string read(const std::string& path) const {
+    std::ifstream in(path);
+    std::ostringstream out;
+    out << in.rdbuf();
+    return out.str();
+  }
+
+  std::string dir_;
+  std::string path_;
+};
+
+TEST_F(WriteFileAtomic, ReplacesTheFileAndLeavesNoTemporary) {
+  ASSERT_FALSE(write_file_atomic(path_, "old\n").has_value());
+  EXPECT_EQ(read(path_), "old\n");
+  ASSERT_FALSE(write_file_atomic(path_, "new contents\n").has_value());
+  EXPECT_EQ(read(path_), "new contents\n");
+  EXPECT_FALSE(fs::exists(path_ + ".tmp"));
+}
+
+TEST_F(WriteFileAtomic, FailedOpenKeepsTheOldFile) {
+  ASSERT_FALSE(write_file_atomic(path_, "last good\n").has_value());
+  // A directory where the temporary file goes: fopen cannot create it.
+  fs::create_directories(path_ + ".tmp");
+  const auto err = write_file_atomic(path_, "never lands\n");
+  ASSERT_TRUE(err.has_value());
+  EXPECT_NE(err->find(path_ + ".tmp"), std::string::npos) << *err;
+  EXPECT_EQ(read(path_), "last good\n");
+}
+
+TEST_F(WriteFileAtomic, ShortWriteKeepsTheOldFile) {
+  if (!fs::exists("/dev/full")) GTEST_SKIP() << "no /dev/full to stand in for a full disk";
+  ASSERT_FALSE(write_file_atomic(path_, "last good\n").has_value());
+  // Every write to /dev/full fails with ENOSPC, as on a full disk.
+  fs::create_symlink("/dev/full", path_ + ".tmp");
+  const auto err = write_file_atomic(path_, std::string(1 << 16, 'x'));
+  ASSERT_TRUE(err.has_value());
+  EXPECT_EQ(read(path_), "last good\n");
+  EXPECT_FALSE(fs::exists(fs::symlink_status(path_ + ".tmp")));
 }
 
 }  // namespace

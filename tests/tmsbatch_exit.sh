@@ -4,16 +4,19 @@
 #   1  any job failed, or an input could not be loaded
 #   2  usage errors (bad flags, machine flags out of range, malformed
 #      numeric values, unknown scheduler names)
-# plus tmsc's matching exit 2 on a malformed numeric value.
+# plus tmsc's matching exit 2 on a malformed numeric value, and the same
+# for the bench binaries' --iterations and --jobs (BENCH is one that
+# reads both, e.g. bench_figure4_speedups; a bad value exits before any
+# work starts).
 #
-# Usage: tmsbatch_exit.sh TMSBATCH LOOPS_DIR TMSC
+# Usage: tmsbatch_exit.sh TMSBATCH LOOPS_DIR TMSC BENCH
 set -u
 
-if [ "$#" -ne 3 ]; then
-  echo "usage: $0 TMSBATCH LOOPS_DIR TMSC" >&2
+if [ "$#" -ne 4 ]; then
+  echo "usage: $0 TMSBATCH LOOPS_DIR TMSC BENCH" >&2
   exit 2
 fi
-TMSBATCH=$1 LOOPS_DIR=$2 TMSC=$3
+TMSBATCH=$1 LOOPS_DIR=$2 TMSC=$3 BENCH=$4
 
 WORK=$(mktemp -d tmsbatch_exit.XXXXXX) || exit 1
 trap 'rm -rf "$WORK"' EXIT
@@ -62,5 +65,13 @@ done
 expect 2 "malformed --simulate" "$TMSBATCH" "$LOOPS_DIR/dotprod.loop" --simulate abc --quiet
 expect 2 "malformed --oracle" "$TMSBATCH" "$LOOPS_DIR/dotprod.loop" --oracle 1x --quiet
 expect 2 "tmsc malformed --simulate" "$TMSC" "$LOOPS_DIR/dotprod.loop" --simulate abc
+
+# exit 2: the bench binaries parse --iterations (>= 1) and --jobs (>= 0)
+# strictly too (atoll used to turn "abc" into 0, which aborted inside the
+# simulator, and atoi read "4x" as 4).
+expect 2 "bench malformed --iterations" "$BENCH" --iterations abc
+expect 2 "bench --iterations below 1" "$BENCH" --iterations -5
+expect 2 "bench malformed --jobs" "$BENCH" --jobs 4x
+expect 2 "bench --jobs below 0" "$BENCH" --jobs -1
 
 exit "$fail"

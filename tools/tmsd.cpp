@@ -92,6 +92,7 @@
 #include "policy/policy.hpp"
 #include "serve/server.hpp"
 #include "serve/service.hpp"
+#include "support/file.hpp"
 #include "support/parse.hpp"
 
 using namespace tms;
@@ -139,48 +140,28 @@ void on_sigusr2(int) {
   [[maybe_unused]] const ssize_t n = ::write(g_signal_pipe[1], &byte, 1);
 }
 
-/// Snapshot -> Prometheus text -> temp file -> rename, so a scraper
-/// reading `path` never sees a half-written exposition. The output is
-/// linted before it lands; a lint failure is a bug in the exporter, so
-/// it is loud but non-fatal.
+/// Snapshot -> Prometheus text -> atomic replace of `path`, so a scraper
+/// reading it never sees a half-written exposition. The output is linted
+/// before it lands; a lint failure is a bug in the exporter, so it is
+/// loud but non-fatal.
 void dump_metrics(const std::string& path) {
   const std::string text = obs::write_prometheus_text(obs::counters_snapshot());
   if (const auto err = obs::lint_prometheus_text(text)) {
     std::fprintf(stderr, "tmsd: metrics exposition failed its own lint: %s\n", err->c_str());
   }
-  const std::string tmp = path + ".tmp";
-  std::FILE* f = std::fopen(tmp.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "tmsd: cannot write %s: %s\n", tmp.c_str(), std::strerror(errno));
-    return;
-  }
-  std::fwrite(text.data(), 1, text.size(), f);
-  std::fclose(f);
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    std::fprintf(stderr, "tmsd: rename %s: %s\n", path.c_str(), std::strerror(errno));
+  if (const auto err = support::write_file_atomic(path, text)) {
+    std::fprintf(stderr, "tmsd: %s\n", err->c_str());
   }
 }
 
-/// tmsd-flight-v1 dump -> temp file -> rename (or stderr when no path is
-/// configured, so a bare SIGUSR2 still surfaces the ring).
+/// tmsd-flight-v1 dump -> atomic replace of `path` (or stderr when no
+/// path is configured, so a bare SIGUSR2 still surfaces the ring).
 void dump_flight(const std::string& path, const obs::FlightRecorder& recorder) {
   const std::string text = obs::flight_to_json(recorder);
   if (path.empty()) {
     std::fprintf(stderr, "%s\n", text.c_str());
-    obs::counters().serve_flight_dumps.add(1);
-    return;
-  }
-  const std::string tmp = path + ".tmp";
-  std::FILE* f = std::fopen(tmp.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "tmsd: cannot write %s: %s\n", tmp.c_str(), std::strerror(errno));
-    return;
-  }
-  std::fwrite(text.data(), 1, text.size(), f);
-  std::fputc('\n', f);
-  std::fclose(f);
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    std::fprintf(stderr, "tmsd: rename %s: %s\n", path.c_str(), std::strerror(errno));
+  } else if (const auto err = support::write_file_atomic(path, text + "\n")) {
+    std::fprintf(stderr, "tmsd: %s\n", err->c_str());
     return;
   }
   obs::counters().serve_flight_dumps.add(1);

@@ -70,6 +70,7 @@
 #include "obs/prometheus.hpp"
 #include "router/router.hpp"
 #include "serve/server.hpp"
+#include "support/file.hpp"
 #include "support/parse.hpp"
 
 using namespace tms;
@@ -105,23 +106,15 @@ void on_sigusr1(int) {
   [[maybe_unused]] const ssize_t n = ::write(g_signal_pipe[1], &byte, 1);
 }
 
-/// Lint + temp file + rename, shared by the single-process and merged
-/// cluster expositions.
+/// Lint + atomic replace of `path`, shared by the single-process and
+/// merged cluster expositions.
 void write_exposition(const std::string& path, const std::string& text) {
   if (const auto err = obs::lint_prometheus_text(text)) {
     std::fprintf(stderr, "tmsrouter: metrics exposition failed its own lint: %s\n",
                  err->c_str());
   }
-  const std::string tmp = path + ".tmp";
-  std::FILE* f = std::fopen(tmp.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "tmsrouter: cannot write %s: %s\n", tmp.c_str(), std::strerror(errno));
-    return;
-  }
-  std::fwrite(text.data(), 1, text.size(), f);
-  std::fclose(f);
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    std::fprintf(stderr, "tmsrouter: rename %s: %s\n", path.c_str(), std::strerror(errno));
+  if (const auto err = support::write_file_atomic(path, text)) {
+    std::fprintf(stderr, "tmsrouter: %s\n", err->c_str());
   }
 }
 
