@@ -52,6 +52,7 @@ namespace tms::obs {
   X(sched_window_exhausted,  "sched.window_exhausted",  "events",     "nodes whose scheduling window held no feasible slot")                   \
   X(sched_ejections,         "sched.ejections",         "nodes",      "placed nodes ejected by TMS backtracking")                              \
   X(sched_pmax_sweeps_skipped, "sched.pmax_sweeps_skipped", "sweeps",  "P_max sweeps skipped because a stricter C2-rejection-free sweep proved them identical") \
+  X(sched_ii_cutoffs,        "sched.ii_cutoffs",        "sweeps",     "TMS II sweeps ended by the recurrence-floor cutoff: the incumbent sits at both floors and no larger II can beat it") \
   X(check_validations,       "check.validations",       "runs",       "independent validator runs (schedules and kernel programs)")            \
   X(check_violations,        "check.violations",        "violations", "invariant violations reported by the validator")                        \
   X(codegen_lowerings,       "codegen.lowerings",       "kernels",    "schedules lowered to kernel programs")                                  \

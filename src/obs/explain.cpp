@@ -90,6 +90,7 @@ std::string render_tms_explain(const ExplainInput& in) {
   Tally total;
   std::map<std::int64_t, std::int64_t> rejects_by_node;
   const TraceEvent* result = nullptr;
+  const TraceEvent* cutoff = nullptr;
 
   for (const TraceEvent& e : in.events) {
     if (std::strcmp(e.cat, "sched") != 0) continue;
@@ -119,6 +120,8 @@ std::string render_tms_explain(const ExplainInput& in) {
       total.window_exhausted += running.window_exhausted;
       total.ejections += running.ejections;
       running.clear();
+    } else if (e.phase == 'i' && std::strcmp(e.name, "tms.ii_cutoff") == 0) {
+      cutoff = &e;
     } else if (e.phase == 'i' && std::strcmp(e.name, "tms.result") == 0) {
       result = &e;
     }
@@ -146,6 +149,13 @@ std::string render_tms_explain(const ExplainInput& in) {
                a.feasible ? "feasible  " : "infeasible");
     append_tally(out, a.tally);
     out += "\n";
+  }
+  if (cutoff != nullptr) {
+    const int ii = static_cast<int>(arg_int(*cutoff, "ii", 0));
+    out += fmt("Sweep stopped before II = %d (MII%+d): the incumbent sits at the recurrence "
+               "floors (C_delay %lld, %lld comm pairs), so no larger II can beat it\n",
+               ii, ii - in.mii, static_cast<long long>(arg_int(*cutoff, "cd_floor", 0)),
+               static_cast<long long>(arg_int(*cutoff, "pairs_floor", 0)));
   }
 
   out += "\nTotals: ";

@@ -31,6 +31,7 @@ struct ExplainInput {
 ///   - 'i' "slot.reject"  args: node, row, reason
 ///   - 'i' "slot.none"    args: node       (window exhausted)
 ///   - 'i' "eject"        args: node, victim
+///   - 'i' "tms.ii_cutoff" args: ii, cd_floor, pairs_floor (why the II sweep stopped)
 ///   - 'i' "tms.result"   args: ii, c_delay, p_max, feasible
 /// Unknown events are ignored, so the renderer tolerates traces that
 /// include surrounding pipeline activity.

@@ -59,6 +59,20 @@ void collect_new_mem_deps(const Schedule& ps, const ir::Loop& loop, ir::NodeId v
   }
 }
 
+/// Ejection update of RegDep(PS) or MemDep(PS): drops the edges that lost
+/// an endpoint and restores edge-index order. Both sets hold exactly the
+/// edges of their kind with both endpoints placed and d_ker >= 1 (a placed
+/// node's slot never moves), so the result is the set a scan over every
+/// edge would build, in the same order — C2's running product over
+/// MemDep(PS) multiplies in that order.
+void drop_unplaced(const Schedule& ps, const ir::Loop& loop, std::vector<std::size_t>& set) {
+  std::erase_if(set, [&](std::size_t ei) {
+    const ir::DepEdge& e = loop.dep(ei);
+    return !ps.is_placed(e.src) || !ps.is_placed(e.dst);
+  });
+  std::sort(set.begin(), set.end());
+}
+
 struct SlotCheck {
   bool ok = false;
   int max_new_sync = 0;        ///< largest sync delay introduced by this slot
@@ -193,7 +207,7 @@ std::optional<Schedule> try_thresholds(const ir::Loop& loop, const machine::Mach
   }
   Schedule& ps = *ws.sched;
   ModuloReservationTable& mrt = *ws.mrt;
-  std::vector<std::size_t>& reg_ps = ws.reg_ps;  // RegDep(PS), recomputed per placement
+  std::vector<std::size_t>& reg_ps = ws.reg_ps;  // RegDep(PS), kept incrementally
   std::vector<std::size_t>& mem_ps = ws.mem_ps;  // MemDep(PS)
   std::vector<std::size_t>& tmp = ws.tmp;
   reg_ps.clear();
@@ -302,9 +316,9 @@ std::optional<Schedule> try_thresholds(const ir::Loop& loop, const machine::Mach
       if (!eject(/*successors=*/true) && !eject(/*successors=*/false)) {
         return std::nullopt;  // unconstrained failure: resources alone
       }
-      // Placements changed: rebuild the inter-thread dependence sets.
-      reg_ps = ps.reg_dep_set();
-      mem_ps = ps.mem_dep_set();
+      // Placements changed: drop the ejected nodes' dependences.
+      drop_unplaced(ps, loop, reg_ps);
+      drop_unplaced(ps, loop, mem_ps);
       // Retry v first: it was just popped, so the slot ahead of qhead is
       // free and this is a plain deque push_front.
       TMS_ASSERT(ws.qhead > 0);
@@ -362,10 +376,29 @@ std::optional<TmsResult> tms_schedule(const ir::Loop& loop, const machine::Machi
   // minimisation as: for each II (ascending), binary-search the smallest
   // schedulable C_delay (feasibility is monotone in the threshold), and
   // keep the candidate minimising the full per-iteration cost
-  // F(II, C_delay) + misspec_penalty * P_M. The II sweep stops once even
-  // the best conceivable F at the floor C_delay can no longer beat the
-  // incumbent, which bounds the search exactly as the paper's "II can be
-  // bounded by the longest critical path" remark intends.
+  // F(II, C_delay) + misspec_penalty * P_M. The II sweep stops once no
+  // larger II can beat the incumbent or win its tie-break, which bounds
+  // the search exactly as the paper's "II can be bounded by the longest
+  // critical path" remark intends. Two lower bounds prove that: F(II, 0),
+  // and the recurrence floors below.
+  //
+  // Recurrence floors (docs/ALGORITHMS.md, step 1): a register-flow
+  // self-edge x -> x of distance d >= 1 has d_ker = d whatever the II and
+  // the placement, so every complete schedule synchronises it at
+  // lat(x) + C_reg_com and forwards x over a channel of at least d hops.
+  int cd_floor = 0;     // every schedule's C_delay is >= cd_floor
+  int pairs_floor = 0;  // and its comm_pairs_per_iter >= pairs_floor
+  {
+    std::vector<int> self_hops(lat.size(), 0);
+    for (const ir::DepEdge& e : loop.deps()) {
+      if (e.src != e.dst || !e.is_register_flow() || e.distance < 1) continue;
+      const auto x = static_cast<std::size_t>(e.src);
+      cd_floor = std::max(cd_floor, lat[x] + cfg.reg_comm_cycles());
+      self_hops[x] = std::max(self_hops[x], e.distance);
+    }
+    for (const int h : self_hops) pairs_floor += h;
+  }
+
   struct Best {
     Schedule schedule;
     double total;
@@ -414,8 +447,21 @@ std::optional<TmsResult> tms_schedule(const ir::Loop& loop, const machine::Machi
       // stage), so a bounded plateau is scanned for tie-breaks.
       if (f_floor > best->total + 1e-9) break;
       if (f_floor > best->total - 1e-9 && plateau >= opts.plateau_budget) break;
+      // An incumbent at both recurrence floors cannot lose a tie-break,
+      // so only a strictly lower total could replace it. Every schedule
+      // at this II or above totals at least F(II, cd_floor) when its
+      // misspeculation penalty is >= 0, and at least II + C_inv + C_spn
+      // when it is negative (P_M <= 1 and F >= C_delay).
+      if (best->actual_c_delay <= cd_floor && best->comm_pairs <= pairs_floor &&
+          std::min(cost::per_iter_nomiss(ii, cd_floor, cfg),
+                   static_cast<double>(ii + cfg.c_inv + cfg.c_spn)) > best->total - 1e-9) {
+        obs::counters().sched_ii_cutoffs.add(1);
+        TMS_TRACE_INSTANT("sched", "tms.ii_cutoff", obs::targ("ii", ii),
+                          obs::targ("cd_floor", cd_floor), obs::targ("pairs_floor", pairs_floor));
+        break;
+      }
     }
-    const int cd_floor = cfg.min_c_delay();
+    const int cd_lo = cfg.min_c_delay();
     // At cd_ceiling C1 can never bind: the row gap is at most II-1 and the
     // producer latency at most max_lat.
     const int cd_ceiling = ii - 1 + max_lat + cfg.reg_comm_cycles();
@@ -481,7 +527,7 @@ std::optional<TmsResult> tms_schedule(const ir::Loop& loop, const machine::Machi
 
         // Binary search for the smallest feasible C1 threshold; every
         // feasible point is a candidate.
-        int lo = cd_floor;
+        int lo = cd_lo;
         int hi = cd_ceiling;
         while (lo < hi) {
           const int mid = lo + (hi - lo) / 2;

@@ -12,6 +12,13 @@
 // Slot selection additionally prefers, within the SMS window, the cycle
 // that introduces the smallest synchronisation delay — this is what turns
 // the motivating example's 11-cycle stall into a 5-cycle one.
+//
+// The II sweep ends as soon as no larger II can replace the incumbent:
+// when F(II, 0) passes it, or when it sits at the loop's recurrence
+// floors (the C_delay and communication pairs every register-flow
+// self-edge forces on any schedule) and the cost lower bound at those
+// floors has reached it (docs/ALGORITHMS.md, step 1). Both stops are
+// exact: the result is the one a sweep to max_ii_slack would return.
 #pragma once
 
 #include <optional>
@@ -26,7 +33,8 @@ struct TmsOptions {
   /// Misspeculation-frequency thresholds, tried strictest-first for each
   /// (II, C_delay) pair (Fig. 3 line 1; "several values can be tried").
   std::vector<double> p_max_values = {0.01, 0.10, 1.0};
-  /// Budget on II above MII, as in SMS.
+  /// Budget on II above MII, as in SMS. The sweep usually stops well
+  /// before it (see the header comment).
   int max_ii_slack = 256;
   /// Cap on the number of (II, C_delay) pairs attempted before giving up.
   int max_pair_attempts = 20000;
@@ -53,7 +61,7 @@ struct TmsResult {
   double p_max = 0.0;         ///< the P_max the schedule was found under
   double f_value = 0.0;       ///< F(II, C_delay) of the accepted schedule
   double misspec_probability = 0.0;  ///< P_M of the final schedule (Eq. 3)
-  int pairs_tried = 0;        ///< (II, C_delay) combinations attempted
+  int pairs_tried = 0;        ///< (II, C_delay) combinations attempted before the sweep stopped
 };
 
 std::optional<TmsResult> tms_schedule(const ir::Loop& loop, const machine::MachineModel& mach,

@@ -3,6 +3,7 @@
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <poll.h>
+#include <sys/eventfd.h>
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
@@ -20,9 +21,9 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-/// Poll granularity: how quickly connection and accept threads notice
-/// stop_ / idle deadlines. Coarse on purpose — shutdown latency, not
-/// request latency.
+/// Poll granularity: how quickly connection threads notice idle
+/// deadlines and the accept thread reaps finished connections. Shutdown
+/// does not wait for it: drain() wakes every poll through wake_fd_.
 constexpr int kTickMs = 200;
 
 bool send_all(int fd, std::string_view bytes) {
@@ -101,6 +102,15 @@ std::optional<std::string> SocketServer::start() {
     }
   }
 
+  wake_fd_ = ::eventfd(0, EFD_CLOEXEC | EFD_NONBLOCK);
+  if (wake_fd_ < 0) {
+    const std::string err = std::string("eventfd: ") + std::strerror(errno);
+    if (tcp_fd_ >= 0) ::close(tcp_fd_);
+    ::close(unix_fd_);
+    tcp_fd_ = unix_fd_ = -1;
+    return err;
+  }
+
   stop_.store(false, std::memory_order_release);
   running_.store(true, std::memory_order_release);
   accept_thread_ = std::thread([this] { accept_loop(); });
@@ -109,8 +119,18 @@ std::optional<std::string> SocketServer::start() {
 
 void SocketServer::drain() {
   stop_.store(true, std::memory_order_release);
+  if (wake_fd_ >= 0) {
+    // Never read back: the eventfd stays readable, so every poll that
+    // includes it returns at once, now and on every later loop turn.
+    const std::uint64_t one = 1;
+    [[maybe_unused]] const ssize_t n = ::write(wake_fd_, &one, sizeof one);
+  }
   if (accept_thread_.joinable()) accept_thread_.join();
   reap_finished(/*join_all=*/true);
+  if (wake_fd_ >= 0) {
+    ::close(wake_fd_);
+    wake_fd_ = -1;
+  }
   running_.store(false, std::memory_order_release);
 }
 
@@ -136,20 +156,21 @@ void SocketServer::reap_finished(bool join_all) {
 }
 
 void SocketServer::accept_loop() {
-  pollfd pfds[2];
-  nfds_t nfds = 0;
-  pfds[nfds++] = {unix_fd_, POLLIN, 0};
-  if (tcp_fd_ >= 0) pfds[nfds++] = {tcp_fd_, POLLIN, 0};
+  pollfd pfds[3];
+  nfds_t nlisten = 0;
+  pfds[nlisten++] = {unix_fd_, POLLIN, 0};
+  if (tcp_fd_ >= 0) pfds[nlisten++] = {tcp_fd_, POLLIN, 0};
+  pfds[nlisten] = {wake_fd_, POLLIN, 0};
 
   while (!stop_.load(std::memory_order_acquire)) {
-    const int r = ::poll(pfds, nfds, kTickMs);
+    const int r = ::poll(pfds, nlisten + 1, kTickMs);
     reap_finished(/*join_all=*/false);
     if (r < 0) {
       if (errno == EINTR) continue;
       break;
     }
     if (r == 0) continue;
-    for (nfds_t i = 0; i < nfds; ++i) {
+    for (nfds_t i = 0; i < nlisten; ++i) {
       if ((pfds[i].revents & POLLIN) == 0) continue;
       sockaddr_storage peer_addr{};
       socklen_t peer_len = sizeof peer_addr;
@@ -209,8 +230,8 @@ void SocketServer::connection_loop(Conn* conn) {
   bool alive = true;
 
   while (alive && !stop_.load(std::memory_order_acquire)) {
-    pollfd pfd{fd, POLLIN, 0};
-    const int r = ::poll(&pfd, 1, kTickMs);
+    pollfd pfds[2] = {{fd, POLLIN, 0}, {wake_fd_, POLLIN, 0}};
+    const int r = ::poll(pfds, 2, kTickMs);
     if (r < 0) {
       if (errno == EINTR) continue;
       break;
@@ -222,6 +243,7 @@ void SocketServer::connection_loop(Conn* conn) {
       }
       continue;
     }
+    if (pfds[0].revents == 0) continue;  // only the drain wake-up: stop_ is set
     const ssize_t n = ::recv(fd, buf, sizeof buf, 0);
     if (n == 0) break;  // peer closed
     if (n < 0) {

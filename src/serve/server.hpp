@@ -21,7 +21,8 @@
 //     guard) and counted in serve.idle_timeouts;
 //   - drain() stops accepting, lets every in-flight request finish and
 //     its response flush, then joins all threads. It never aborts a
-//     request that was already admitted.
+//     request that was already admitted, and it does not wait for a
+//     poll tick: an eventfd in every poll set wakes idle threads at once.
 #pragma once
 
 #include <atomic>
@@ -94,6 +95,7 @@ class SocketServer {
   int unix_fd_ = -1;
   int tcp_fd_ = -1;
   int tcp_port_ = -1;
+  int wake_fd_ = -1;  ///< eventfd in every poll set; drain() makes it readable
   std::thread accept_thread_;
   mutable std::mutex conns_mu_;
   std::list<std::unique_ptr<Conn>> conns_;

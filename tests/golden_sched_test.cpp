@@ -1,11 +1,15 @@
 // Golden-schedule snapshots: the equivalence layer's anchor.
 //
 // Ten pinned workloads (hand-built loops, classic kernels, two fuzz
-// seeds) are TMS-scheduled under the default machine and SpMT config,
-// and the complete outcome — II, MII, the acceptance thresholds, and
-// every node's slot — is frozen in tests/data/golden_sched/*.txt. The
-// scheduler is deterministic (no RNG anywhere in the sched path), so
-// these files are machine-independent.
+// seeds) are TMS-scheduled under three SpMT configs, and the complete
+// outcome — II, MII, the acceptance thresholds, and every node's slot —
+// is frozen in tests/data/golden_sched/. The paper's Table 1 machine
+// (ncore 4, modulo) keeps its snapshots at the top level; ncore 32 with
+// the modulo policy, and ncore 32 with locality (block 4) and the shared
+// bus at 8 bytes per transfer, live in subdirectories. The ncore-32
+// configs are where the II sweep runs longest and its recurrence-floor
+// cutoff fires. The scheduler is deterministic (no RNG anywhere in the
+// sched path), so these files are machine-independent.
 //
 // A hot-path change that alters any schedule fails here and must
 // regenerate the snapshots *consciously*:
@@ -21,6 +25,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -60,6 +65,30 @@ std::vector<GoldenWorkload> golden_workloads() {
   out.push_back({"prop_9001", test::random_loop(9001)});
   out.push_back({"prop_9002", test::random_loop(9002)});
   return out;
+}
+
+/// One machine the snapshots are frozen under. `dir` is the snapshot
+/// subdirectory; the empty one is the top level.
+struct GoldenConfig {
+  std::string dir;
+  machine::SpmtConfig cfg;
+};
+
+std::vector<GoldenConfig> golden_configs() {
+  const machine::SpmtConfig table1;
+  machine::SpmtConfig c32 = table1;
+  c32.ncore = 32;
+  machine::SpmtConfig loc = c32;
+  loc.policy = machine::AllocPolicy::kLocality;
+  loc.policy_block = 4;
+  loc.bus_bytes_per_transfer = 8;
+  return {{"", table1}, {"ncore32_modulo", c32}, {"ncore32_locality_bus8", loc}};
+}
+
+/// Snapshot key of a workload under a config: its path below
+/// golden_dir() without the extension, and the name in its header.
+std::string snapshot_key(const GoldenConfig& c, const std::string& name) {
+  return c.dir.empty() ? name : c.dir + "/" + name;
 }
 
 /// The frozen outcome of one workload.
@@ -157,69 +186,79 @@ testing::AssertionResult passes_checks(const GoldenWorkload& w, const sched::Tms
   return testing::AssertionSuccess();
 }
 
-class GoldenSchedTest : public testing::Test {
- protected:
-  machine::MachineModel mach;
-  machine::SpmtConfig cfg;
-};
-
-TEST_F(GoldenSchedTest, SchedulesMatchSnapshots) {
+/// Schedules every workload under `c` and compares it with its snapshot.
+void expect_matches_snapshots(const GoldenConfig& c) {
+  const machine::MachineModel mach;
   for (const GoldenWorkload& w : golden_workloads()) {
-    SCOPED_TRACE(w.name);
-    const auto r = sched::tms_schedule(w.loop, mach, cfg);
-    ASSERT_TRUE(r.has_value()) << w.name << ": TMS failed";
+    const std::string key = snapshot_key(c, w.name);
+    SCOPED_TRACE(key);
+    const auto r = sched::tms_schedule(w.loop, mach, c.cfg);
+    ASSERT_TRUE(r.has_value()) << key << ": TMS failed";
 
     GoldenRecord want;
     std::string err;
-    ASSERT_TRUE(load(w.name, want, err)) << err;
+    ASSERT_TRUE(load(key, want, err)) << err;
 
     const GoldenRecord got = record_of(*r);
     // II regression is called out separately: it is the one diff that is
     // never acceptable, even via --update.
-    EXPECT_LE(got.ii, want.ii) << w.name << ": II regressed";
+    EXPECT_LE(got.ii, want.ii) << key << ": II regressed";
     EXPECT_EQ(got.ii, want.ii);
     EXPECT_EQ(got.mii, want.mii);
     EXPECT_EQ(got.c_delay, want.c_delay);
     EXPECT_EQ(got.p_max, want.p_max);
     ASSERT_EQ(got.slots.size(), want.slots.size());
     for (std::size_t v = 0; v < want.slots.size(); ++v) {
-      EXPECT_EQ(got.slots[v], want.slots[v]) << w.name << ": node " << v << " moved";
+      EXPECT_EQ(got.slots[v], want.slots[v]) << key << ": node " << v << " moved";
     }
 
-    EXPECT_TRUE(passes_checks(w, *r, cfg));
+    EXPECT_TRUE(passes_checks(w, *r, c.cfg));
   }
+}
+
+TEST(GoldenSchedTest, SchedulesMatchSnapshots) { expect_matches_snapshots(golden_configs()[0]); }
+
+TEST(GoldenSchedTest, Ncore32ModuloMatchesSnapshots) {
+  expect_matches_snapshots(golden_configs()[1]);
+}
+
+TEST(GoldenSchedTest, Ncore32LocalityBusMatchesSnapshots) {
+  expect_matches_snapshots(golden_configs()[2]);
 }
 
 int update_snapshots() {
   const machine::MachineModel mach;
-  const machine::SpmtConfig cfg;
-  for (const GoldenWorkload& w : golden_workloads()) {
-    const auto r = sched::tms_schedule(w.loop, mach, cfg);
-    if (!r.has_value()) {
-      std::fprintf(stderr, "update: TMS failed on %s\n", w.name.c_str());
-      return 1;
+  for (const GoldenConfig& c : golden_configs()) {
+    std::filesystem::create_directories(golden_dir() + "/" + c.dir);
+    for (const GoldenWorkload& w : golden_workloads()) {
+      const std::string key = snapshot_key(c, w.name);
+      const auto r = sched::tms_schedule(w.loop, mach, c.cfg);
+      if (!r.has_value()) {
+        std::fprintf(stderr, "update: TMS failed on %s\n", key.c_str());
+        return 1;
+      }
+      const auto ok = passes_checks(w, *r, c.cfg);
+      if (!ok) {
+        std::fprintf(stderr, "update: %s: %s\n", key.c_str(), ok.message());
+        return 1;
+      }
+      // The II floor survives updates: compare against the existing
+      // snapshot when there is one.
+      GoldenRecord prev;
+      std::string err;
+      if (load(key, prev, err) && r->schedule.ii() > prev.ii) {
+        std::fprintf(stderr, "update: %s II regressed %d -> %d; refusing to freeze\n",
+                     key.c_str(), prev.ii, r->schedule.ii());
+        return 1;
+      }
+      const std::string path = golden_dir() + "/" + key + ".txt";
+      std::ofstream out(path);
+      if (!out || !(out << serialise(key, record_of(*r)))) {
+        std::fprintf(stderr, "update: cannot write %s\n", path.c_str());
+        return 1;
+      }
+      std::printf("wrote %s\n", path.c_str());
     }
-    const auto ok = passes_checks(w, *r, cfg);
-    if (!ok) {
-      std::fprintf(stderr, "update: %s\n", ok.message());
-      return 1;
-    }
-    // The II floor survives updates: compare against the existing
-    // snapshot when there is one.
-    GoldenRecord prev;
-    std::string err;
-    if (load(w.name, prev, err) && r->schedule.ii() > prev.ii) {
-      std::fprintf(stderr, "update: %s II regressed %d -> %d; refusing to freeze\n",
-                   w.name.c_str(), prev.ii, r->schedule.ii());
-      return 1;
-    }
-    const std::string path = golden_dir() + "/" + w.name + ".txt";
-    std::ofstream out(path);
-    if (!out || !(out << serialise(w.name, record_of(*r)))) {
-      std::fprintf(stderr, "update: cannot write %s\n", path.c_str());
-      return 1;
-    }
-    std::printf("wrote %s\n", path.c_str());
   }
   return 0;
 }

@@ -747,6 +747,26 @@ TEST(Explain, RendersLadderTotalsHardestNodesAndResult) {
   EXPECT_NE(out.find("schedule found at II = 5 (MII+1)"), std::string::npos);
 }
 
+TEST(Explain, RendersTheIiCutoffAsTheReasonTheSweepStopped) {
+  obs::ExplainInput in;
+  in.loop_name = "acc";
+  in.mii = 10;
+  in.events.push_back(attempt_event(35, 5, 0.01, true));
+  obs::TraceEvent cut;
+  cut.cat = "sched";
+  cut.name = "tms.ii_cutoff";
+  cut.phase = 'i';
+  cut.nargs = 3;
+  cut.args[0] = obs::targ("ii", 36);
+  cut.args[1] = obs::targ("cd_floor", 5);
+  cut.args[2] = obs::targ("pairs_floor", 3);
+  in.events.push_back(cut);
+
+  const std::string out = obs::render_tms_explain(in);
+  EXPECT_NE(out.find("Sweep stopped before II = 36 (MII+26)"), std::string::npos) << out;
+  EXPECT_NE(out.find("recurrence floors (C_delay 5, 3 comm pairs)"), std::string::npos) << out;
+}
+
 TEST(Explain, EmptyTraceSaysSo) {
   obs::ExplainInput in;
   in.loop_name = "empty";

@@ -778,6 +778,26 @@ TEST(Server, DrainStopsAcceptingAndUnbindsTheSocket) {
   fx.server.drain();  // idempotent
 }
 
+// drain() wakes the accept thread and every idle connection thread at
+// once instead of waiting for their 200 ms poll ticks to run out. Three
+// rounds, because one drain can land near the end of a tick by chance.
+TEST(Server, DrainWithAnIdleConnectionReturnsWellInsideOnePollTick) {
+  for (int round = 0; round < 3; ++round) {
+    ServerFixture fx;
+    ASSERT_FALSE(fx.server.start().has_value());
+    serve::Client client;
+    ASSERT_FALSE(client.connect_unix(fx.dir.socket_path()).has_value());
+    ASSERT_FALSE(client.ping().has_value()) << "the connection must be live and idle";
+
+    const auto t0 = std::chrono::steady_clock::now();
+    fx.server.drain();
+    const auto took = std::chrono::steady_clock::now() - t0;
+    EXPECT_LT(took, std::chrono::milliseconds(50)) << "round " << round;
+    EXPECT_EQ(fx.server.connection_count(), 0);
+    EXPECT_TRUE(client.ping().has_value()) << "the drained connection must be closed";
+  }
+}
+
 // -------------------------------------------------------- Request identity
 
 TEST(Message, RequestIdRoundTripsAndEmptyIdIsOmittedFromTheWire) {

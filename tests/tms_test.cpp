@@ -1,11 +1,17 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <vector>
+
 #include "cost/cost_model.hpp"
+#include "obs/counters.hpp"
 #include "sched/mii.hpp"
 #include "sched/mrt.hpp"
 #include "sched/sms.hpp"
 #include "sched/tms.hpp"
 #include "test_util.hpp"
+#include "workloads/doacross.hpp"
 #include "workloads/figure1.hpp"
 
 namespace tms::sched {
@@ -153,6 +159,57 @@ TEST(TmsAggregate, BeatsSmsAcrossLoopPopulation) {
   EXPECT_LT(sum_tms, sum_sms) << "TMS must win in aggregate";
   EXPECT_GE(static_cast<double>(wins) / total, 0.8)
       << "TMS should win on the large majority of loops";
+}
+
+// Work count, not wall clock: at ncore 32 art, equake and fma3d reach
+// both recurrence floors (the accumulator's C_delay and its channel) long
+// before F(II, 0) passes the incumbent, which rises by only 1/32 cycle
+// per II. The floor cutoff must end each sweep there, with the outcome of
+// the full scan. Before the cutoff these runs tried 3,312 / 4,678 / 4,742
+// pairs (modulo) and 6,363 / 6,294 / 6,264 (locality + bus); with it,
+// 447-750.
+TEST(TmsIiCutoff, Ncore32DoacrossSweepsStopAtRecurrenceFloors) {
+  struct Want {
+    const char* loop;
+    int ii;
+    int c_delay;
+  };
+  machine::SpmtConfig c32;
+  c32.ncore = 32;
+  machine::SpmtConfig loc = c32;
+  loc.policy = machine::AllocPolicy::kLocality;
+  loc.policy_block = 4;
+  loc.bus_bytes_per_transfer = 8;
+  const struct {
+    const char* name;
+    machine::SpmtConfig cfg;
+    std::vector<Want> want;
+  } configs[] = {
+      {"ncore32_modulo", c32, {{"art_sel0", 35, 5}, {"equake_sel", 46, 7}, {"fma3d_sel", 51, 7}}},
+      {"ncore32_locality_bus8",
+       loc,
+       {{"art_sel0", 50, 21}, {"equake_sel", 48, 23}, {"fma3d_sel", 56, 23}}},
+  };
+  constexpr int kPairsCeiling = 1000;
+
+  const machine::MachineModel mach;
+  const std::vector<workloads::SelectedLoop> loops = workloads::doacross_selected_loops();
+  for (const auto& c : configs) {
+    for (const Want& w : c.want) {
+      SCOPED_TRACE(std::string(c.name) + "/" + w.loop);
+      const auto it = std::find_if(loops.begin(), loops.end(), [&](const auto& s) {
+        return s.loop.name() == w.loop;
+      });
+      ASSERT_NE(it, loops.end());
+      const std::uint64_t cutoffs_before = obs::counters().sched_ii_cutoffs.value();
+      const auto r = tms_schedule(it->loop, mach, c.cfg);
+      ASSERT_TRUE(r.has_value());
+      EXPECT_EQ(r->schedule.ii(), w.ii);
+      EXPECT_EQ(r->schedule.c_delay(c.cfg), w.c_delay);
+      EXPECT_EQ(obs::counters().sched_ii_cutoffs.value() - cutoffs_before, 1u);
+      EXPECT_LT(r->pairs_tried, kPairsCeiling);
+    }
+  }
 }
 
 }  // namespace
