@@ -50,6 +50,10 @@ std::optional<std::string> Loop::validate() const {
       err << "edge " << i << " has negative distance";
       return err.str();
     }
+    if (e.distance > kMaxDistance) {
+      err << "edge " << i << " distance " << e.distance << " exceeds the bound " << kMaxDistance;
+      return err.str();
+    }
     if (e.distance == 0 && e.src == e.dst) {
       err << "edge " << i << " is a zero-distance self-loop (unschedulable)";
       return err.str();

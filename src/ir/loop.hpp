@@ -26,6 +26,12 @@ namespace tms::ir {
 using NodeId = int;
 constexpr NodeId kInvalidNode = -1;
 
+/// Largest dependence distance a loop may carry. The schedulers and the
+/// validator form II * distance in int, which stays in range for every
+/// II below 32,768 under this bound, and a lifetime that spans the
+/// distance stays short enough to walk cycle by cycle.
+constexpr int kMaxDistance = 65536;
+
 enum class DepKind : std::uint8_t { kRegister, kMemory };
 enum class DepType : std::uint8_t { kFlow, kAnti, kOutput };
 
@@ -104,8 +110,9 @@ class Loop {
     coverage_ = c;
   }
 
-  /// Validation: all edge endpoints in range, distances >= 0, probability
-  /// sane. Returns an error description or nullopt if well-formed.
+  /// Validation: all edge endpoints in range, distances in
+  /// [0, kMaxDistance], probability sane. Returns an error description or
+  /// nullopt if well-formed.
   std::optional<std::string> validate() const;
 
  private:

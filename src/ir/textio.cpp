@@ -167,6 +167,12 @@ std::variant<Loop, ParseError> parse_loop(std::istream& in) {
       if (ids.count(src) == 0) return fail("unknown instruction '" + src + "'");
       if (ids.count(dst) == 0) return fail("unknown instruction '" + dst + "'");
       if (distance < 0) return fail("distance must be >= 0");
+      if (distance > kMaxDistance) {
+        ParseError err = fail("distance " + std::to_string(distance) + " exceeds the bound " +
+                              std::to_string(kMaxDistance));
+        err.over_bound = true;
+        return err;
+      }
       double probability = 1.0;
       if (kw == "mem" && !(ls >> probability)) {
         return fail("'mem' requires a probability after the distance");

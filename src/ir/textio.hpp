@@ -33,6 +33,9 @@ namespace tms::ir {
 struct ParseError {
   int line = 0;
   std::string message;
+  /// The text is well-formed but a value exceeds a documented bound (a
+  /// dependence distance above kMaxDistance).
+  bool over_bound = false;
 };
 
 /// Parses a loop; returns the loop or a ParseError naming the offending

@@ -43,6 +43,7 @@ namespace tms::obs {
   X(driver_schedules_cached, "driver.schedules_cached", "entries",    "fresh schedules inserted into the ScheduleCache")                       \
   X(sched_attempts,          "sched.attempts",          "attempts",   "fixed-threshold scheduling passes (TMS (II, C_delay, P_max) rungs plus SMS/IMS per-II tries)") \
   X(sched_attempts_feasible, "sched.attempts_feasible", "attempts",   "scheduling passes that produced a complete schedule")                   \
+  X(sched_rungs_below_floor, "sched.rungs_below_floor", "attempts",   "TMS rungs answered infeasible without running: their C_delay threshold is below the memory-recurrence floor") \
   X(sched_schedules,         "sched.schedules",         "schedules",  "accepted scheduler results, all schedulers")                            \
   X(sched_slots_tried,       "sched.slots_tried",       "slots",      "candidate (node, cycle) slots examined in placement loops")             \
   X(sched_slot_reject_mrt,       "sched.slot_reject.mrt",       "slots", "slots rejected by a modulo-reservation-table conflict")              \

@@ -50,11 +50,17 @@ struct Tally {
   void clear() { *this = Tally{}; }
 };
 
+/// One line of the ladder: a rung that ran, a rung answered infeasible
+/// below the memory-recurrence floor without running, or a P_max sweep
+/// replayed from a stricter C2-clean one.
 struct Attempt {
+  enum class Kind { kRan, kBelowFloor, kSweepSkipped };
+  Kind kind = Kind::kRan;
   int ii = 0;
   int c_delay = 0;
   double p_max = 0.0;
   bool feasible = false;
+  std::int64_t floor = 0;
   Tally tally;
 };
 
@@ -120,6 +126,20 @@ std::string render_tms_explain(const ExplainInput& in) {
       total.window_exhausted += running.window_exhausted;
       total.ejections += running.ejections;
       running.clear();
+    } else if (e.phase == 'i' && std::strcmp(e.name, "tms.rung_below_floor") == 0) {
+      Attempt a;
+      a.kind = Attempt::Kind::kBelowFloor;
+      a.ii = static_cast<int>(arg_int(e, "ii", 0));
+      a.c_delay = static_cast<int>(arg_int(e, "c_delay", 0));
+      a.p_max = arg_double(e, "p_max", 0.0);
+      a.floor = arg_int(e, "floor", 0);
+      attempts.push_back(a);
+    } else if (e.phase == 'i' && std::strcmp(e.name, "tms.sweep_skipped") == 0) {
+      Attempt a;
+      a.kind = Attempt::Kind::kSweepSkipped;
+      a.ii = static_cast<int>(arg_int(e, "ii", 0));
+      a.p_max = arg_double(e, "p_max", 0.0);
+      attempts.push_back(a);
     } else if (e.phase == 'i' && std::strcmp(e.name, "tms.ii_cutoff") == 0) {
       cutoff = &e;
     } else if (e.phase == 'i' && std::strcmp(e.name, "tms.result") == 0) {
@@ -140,14 +160,34 @@ std::string render_tms_explain(const ExplainInput& in) {
 
   out += "\nRelaxation ladder (threshold attempts, in order):\n";
   int last_ii = -1;
+  std::size_t ran = 0;
+  std::size_t below_floor = 0;
+  std::size_t sweeps_skipped = 0;
   for (const Attempt& a : attempts) {
     if (a.ii != last_ii) {
       out += fmt("II = %d (MII%+d):\n", a.ii, a.ii - in.mii);
       last_ii = a.ii;
     }
-    out += fmt("  C_delay <= %-3d p_max = %.2f  ->  %s", a.c_delay, a.p_max,
-               a.feasible ? "feasible  " : "infeasible");
-    append_tally(out, a.tally);
+    switch (a.kind) {
+      case Attempt::Kind::kRan:
+        ++ran;
+        out += fmt("  C_delay <= %-3d p_max = %.2f  ->  %s", a.c_delay, a.p_max,
+                   a.feasible ? "feasible  " : "infeasible");
+        append_tally(out, a.tally);
+        break;
+      case Attempt::Kind::kBelowFloor:
+        ++below_floor;
+        out += fmt("  C_delay <= %-3d p_max = %.2f  ->  infeasible  [not run: below the "
+                   "memory-recurrence floor C_delay %lld]",
+                   a.c_delay, a.p_max, static_cast<long long>(a.floor));
+        break;
+      case Attempt::Kind::kSweepSkipped:
+        ++sweeps_skipped;
+        out += fmt("  p_max = %.2f sweep skipped: a stricter sweep met no C2 rejection, so "
+                   "its schedules are replayed",
+                   a.p_max);
+        break;
+    }
     out += "\n";
   }
   if (cutoff != nullptr) {
@@ -159,7 +199,9 @@ std::string render_tms_explain(const ExplainInput& in) {
   }
 
   out += "\nTotals: ";
-  out += fmt("%zu threshold attempts", attempts.size());
+  out += fmt("%zu threshold attempts", ran);
+  if (below_floor != 0) out += fmt(", %zu rungs below the floor not run", below_floor);
+  if (sweeps_skipped != 0) out += fmt(", %zu P_max sweeps skipped", sweeps_skipped);
   append_tally(out, total);
   out += "\n";
 

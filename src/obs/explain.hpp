@@ -31,6 +31,8 @@ struct ExplainInput {
 ///   - 'i' "slot.reject"  args: node, row, reason
 ///   - 'i' "slot.none"    args: node       (window exhausted)
 ///   - 'i' "eject"        args: node, victim
+///   - 'i' "tms.rung_below_floor" args: ii, c_delay, p_max, floor (a rung not run)
+///   - 'i' "tms.sweep_skipped" args: ii, p_max (a P_max sweep replayed, not run)
 ///   - 'i' "tms.ii_cutoff" args: ii, cd_floor, pairs_floor (why the II sweep stopped)
 ///   - 'i' "tms.result"   args: ii, c_delay, p_max, feasible
 /// Unknown events are ignored, so the renderer tolerates traces that

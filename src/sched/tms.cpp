@@ -73,6 +73,60 @@ void drop_unplaced(const Schedule& ps, const ir::Loop& loop, std::vector<std::si
   std::sort(set.begin(), set.end());
 }
 
+/// The memory-recurrence floor of each P_max value (docs/ALGORITHMS.md,
+/// step 1). Every distance-1 memory flow edge f = x -> y (x != y) that a
+/// distance-0 register-flow path P from y back to x closes into a
+/// recurrence bounds C_delay by len(P) + min(lat(x), C_reg_com), where
+/// len(P) sums the producer latencies of the longest such path. At a
+/// P_max p < 1 the floor is the largest bound over the f with
+/// p(f) > p + 1e-9; at p = 1 C2 never runs and the floor is 0. `topo` is
+/// the loop's distance-0 topological order.
+std::vector<int> memory_recurrence_floors(const ir::Loop& loop, const std::vector<int>& lat,
+                                          const std::vector<ir::NodeId>& topo, int c_reg,
+                                          const std::vector<double>& p_max_values) {
+  std::vector<int> floors(p_max_values.size(), 0);
+  std::vector<std::size_t> closers;  // the candidate edges f, grouped by y below
+  for (std::size_t ei = 0; ei < loop.deps().size(); ++ei) {
+    const ir::DepEdge& e = loop.dep(ei);
+    if (e.is_memory_flow() && e.distance == 1 && e.src != e.dst) closers.push_back(ei);
+  }
+  if (closers.empty()) return floors;
+  std::stable_sort(closers.begin(), closers.end(), [&](std::size_t a, std::size_t b) {
+    return loop.dep(a).dst < loop.dep(b).dst;
+  });
+  std::vector<std::size_t> pos(lat.size());
+  for (std::size_t i = 0; i < topo.size(); ++i) pos[static_cast<std::size_t>(topo[i])] = i;
+  std::vector<int> len(lat.size());
+  for (std::size_t i = 0; i < closers.size();) {
+    // Longest distance-0 register-flow paths out of y, in topological
+    // order from y on; -1 marks the nodes y does not reach.
+    const ir::NodeId y = loop.dep(closers[i]).dst;
+    std::fill(len.begin(), len.end(), -1);
+    len[static_cast<std::size_t>(y)] = 0;
+    for (std::size_t t = pos[static_cast<std::size_t>(y)]; t < topo.size(); ++t) {
+      const auto v = static_cast<std::size_t>(topo[t]);
+      if (len[v] < 0) continue;
+      for (const std::size_t ei : loop.out_edges(topo[t])) {
+        const ir::DepEdge& e = loop.dep(ei);
+        if (e.distance != 0 || !e.is_register_flow()) continue;
+        int& to = len[static_cast<std::size_t>(e.dst)];
+        to = std::max(to, len[v] + lat[v]);
+      }
+    }
+    for (; i < closers.size() && loop.dep(closers[i]).dst == y; ++i) {
+      const ir::DepEdge& f = loop.dep(closers[i]);
+      const auto x = static_cast<std::size_t>(f.src);
+      if (len[x] < 0) continue;
+      const int bound = len[x] + std::min(lat[x], c_reg);
+      for (std::size_t pi = 0; pi < floors.size(); ++pi) {
+        const double pm = p_max_values[pi];
+        if (pm < 1.0 && f.probability > pm + 1e-9) floors[pi] = std::max(floors[pi], bound);
+      }
+    }
+  }
+  return floors;
+}
+
 struct SlotCheck {
   bool ok = false;
   int max_new_sync = 0;        ///< largest sync delay introduced by this slot
@@ -365,7 +419,8 @@ std::optional<TmsResult> tms_schedule(const ir::Loop& loop, const machine::Machi
   const int mii = min_ii(loop, mach);
   const std::vector<ir::NodeId> order = sms_node_order(loop, mach);
   const std::vector<int> lat = mach.latencies(loop);
-  const std::vector<int> depth = ir::node_depths(loop, lat);
+  const std::vector<ir::NodeId> topo = ir::topo_order_intra(loop);
+  const std::vector<int> depth = ir::node_depths(loop, lat, topo);
 
   int max_lat = 1;
   for (const int l : lat) max_lat = std::max(max_lat, l);
@@ -398,6 +453,14 @@ std::optional<TmsResult> tms_schedule(const ir::Loop& loop, const machine::Machi
     }
     for (const int h : self_hops) pairs_floor += h;
   }
+  // Memory-recurrence floors (docs/ALGORITHMS.md, step 1): a recurrence
+  // closed through a memory dependence f makes every complete schedule
+  // cross threads on exactly one of its edges. If a register edge
+  // crosses, C1 bounds its sync; if f crosses, C2 at a P_max below p(f)
+  // passes only when a sync already checked against C_delay covers f's
+  // gap. So no rung below mem_floor[pi] can succeed at p_max_values[pi].
+  const std::vector<int> mem_floor = memory_recurrence_floors(
+      loop, lat, topo, cfg.reg_comm_cycles(), opts.p_max_values);
 
   struct Best {
     Schedule schedule;
@@ -416,9 +479,22 @@ std::optional<TmsResult> tms_schedule(const ir::Loop& loop, const machine::Machi
   // so --explain can segment the per-slot events it encloses. With
   // ladder_reuse the workspace persists across rungs so every attempt
   // recycles the same Schedule/MRT/queue storage; without it each rung
-  // constructs from scratch (the differential-testing reference).
+  // constructs from scratch (the differential-testing reference). With
+  // ladder_reuse a rung below the memory-recurrence floor is answered
+  // infeasible without running. A run could have met a C2 rejection, so
+  // the rung marks its sweep as not C2-clean: a later sweep that would
+  // have been replayed from it runs instead, to the same result.
   TmsWorkspace shared_ws;
-  auto attempt = [&](int ii, int cd_thr, double pm, bool* saw_c2) {
+  auto attempt = [&](int ii, int cd_thr, double pm, int floor,
+                     bool* saw_c2) -> std::optional<Schedule> {
+    if (opts.ladder_reuse && cd_thr < floor) {
+      obs::counters().sched_rungs_below_floor.add(1);
+      TMS_TRACE_INSTANT("sched", "tms.rung_below_floor", obs::targ("ii", ii),
+                        obs::targ("c_delay", cd_thr), obs::targ("p_max", pm),
+                        obs::targ("floor", floor));
+      *saw_c2 = true;
+      return std::nullopt;
+    }
     obs::counters().sched_attempts.add(1);
     TMS_TRACE_SPAN(span, "sched", "tms.attempt");
     std::optional<Schedule> s;
@@ -502,7 +578,8 @@ std::optional<TmsResult> tms_schedule(const ir::Loop& loop, const machine::Machi
     int clean_bs_attempts = 0;  // its binary-search attempt count
     std::vector<std::pair<Schedule, int>> clean_considered;  // (schedule, cd_thr), in order
 
-    for (const double p_max : opts.p_max_values) {
+    for (std::size_t pi = 0; pi < opts.p_max_values.size(); ++pi) {
+      const double p_max = opts.p_max_values[pi];
       if (opts.ladder_reuse && clean_pm >= 0.0 && p_max >= clean_pm) {
         ++pairs_tried;
         if (pairs_tried > opts.max_pair_attempts) break;
@@ -520,7 +597,8 @@ std::optional<TmsResult> tms_schedule(const ir::Loop& loop, const machine::Machi
       bool sweep_saw_c2 = false;
       int bs_attempts = 0;
       const bool record = opts.ladder_reuse && clean_pm < 0.0;
-      std::optional<Schedule> at_ceiling = attempt(ii, cd_ceiling, p_max, &sweep_saw_c2);
+      std::optional<Schedule> at_ceiling =
+          attempt(ii, cd_ceiling, p_max, mem_floor[pi], &sweep_saw_c2);
       if (at_ceiling.has_value()) {
         if (record) clean_considered.emplace_back(*at_ceiling, cd_ceiling);
         consider(std::move(*at_ceiling), cd_ceiling, p_max);
@@ -533,7 +611,7 @@ std::optional<TmsResult> tms_schedule(const ir::Loop& loop, const machine::Machi
           const int mid = lo + (hi - lo) / 2;
           ++pairs_tried;
           ++bs_attempts;
-          std::optional<Schedule> s = attempt(ii, mid, p_max, &sweep_saw_c2);
+          std::optional<Schedule> s = attempt(ii, mid, p_max, mem_floor[pi], &sweep_saw_c2);
           if (s.has_value()) {
             if (record) clean_considered.emplace_back(*s, mid);
             consider(std::move(*s), mid, p_max);

@@ -19,6 +19,12 @@
 // self-edge forces on any schedule) and the cost lower bound at those
 // floors has reached it (docs/ALGORITHMS.md, step 1). Both stops are
 // exact: the result is the one a sweep to max_ii_slack would return.
+//
+// Within an II, a rung whose C_delay threshold is below the loop's
+// memory-recurrence floor at its P_max — the C_delay every schedule needs
+// when a recurrence closes through a memory dependence more likely than
+// P_max — is answered infeasible without running (same step). It is
+// charged to pairs_tried and counted in sched.rungs_below_floor.
 #pragma once
 
 #include <optional>
@@ -46,11 +52,13 @@ struct TmsOptions {
   /// 0 means start at MII.
   int ii_floor = 0;
   /// Reuse one workspace (Schedule, MRT, queues, scratch) across the
-  /// relaxation ladder's rungs, and skip P_max sweeps that a stricter
-  /// C2-rejection-free sweep already proved identical. Both are exactly
+  /// relaxation ladder's rungs, skip P_max sweeps that a stricter
+  /// C2-rejection-free sweep already proved identical, and skip rungs
+  /// below the memory-recurrence floor. All are exactly
   /// outcome-preserving — same schedule, thresholds, and pairs_tried —
-  /// and the property suite holds this flag to account: disabling it
-  /// runs every rung from freshly constructed state as the reference.
+  /// and the property and tms suites hold this flag to account:
+  /// disabling it runs every rung from freshly constructed state as the
+  /// reference.
   bool ladder_reuse = true;
 };
 

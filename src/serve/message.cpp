@@ -243,7 +243,8 @@ std::string serialise_request(const Request& req) {
   return out;
 }
 
-std::variant<Request, std::string> parse_request(std::string_view payload) {
+std::variant<Request, std::string> parse_request(std::string_view payload, ErrorCode* code) {
+  if (code != nullptr) *code = ErrorCode::kParse;
   std::string_view rest = payload;
   std::string_view line;
   if (!next_line(rest, line) || line != kRequestHeader) {
@@ -297,6 +298,7 @@ std::variant<Request, std::string> parse_request(std::string_view payload) {
   if (!have_loop) return std::string("missing loop section");
   auto parsed = ir::parse_loop_string(std::string(rest));
   if (const auto* err = std::get_if<ir::ParseError>(&parsed)) {
+    if (code != nullptr && err->over_bound) *code = ErrorCode::kBadRequest;
     return "loop line " + std::to_string(err->line) + ": " + err->message;
   }
   req.loop = std::get<ir::Loop>(std::move(parsed));

@@ -128,8 +128,12 @@ machine::SpmtConfig request_config(const Request& req, const machine::SpmtConfig
 void set_request_config(Request& req, const machine::SpmtConfig& cfg);
 
 std::string serialise_request(const Request& req);
-/// Returns the request or a one-line parse-error description.
-std::variant<Request, std::string> parse_request(std::string_view payload);
+/// Returns the request or a one-line parse-error description. `code`,
+/// when given, receives the error's code: kBadRequest when the payload is
+/// well-formed but a value exceeds a documented bound (a dependence
+/// distance above ir::kMaxDistance), kParse otherwise.
+std::variant<Request, std::string> parse_request(std::string_view payload,
+                                                 ErrorCode* code = nullptr);
 
 std::string serialise_response(const Response& resp);
 std::variant<Response, std::string> parse_response(std::string_view payload);

@@ -306,12 +306,14 @@ bool SocketServer::handle_frame(int fd, const Frame& frame, const std::string& p
       obs::counters().serve_flight_requests.add(1);
       return send_frame(fd, FrameType::kFlightReply, handler_.flight_json());
     case FrameType::kRequest: {
-      auto parsed = parse_request(frame.payload);
+      ErrorCode code = ErrorCode::kParse;
+      auto parsed = parse_request(frame.payload, &code);
       if (const auto* err = std::get_if<std::string>(&parsed)) {
-        // Well-framed but unparseable: answer and keep the connection —
-        // the byte stream itself is still in sync.
+        // Well-framed but unparseable, or over a bound (bad-request):
+        // answer and keep the connection — the byte stream itself is
+        // still in sync.
         obs::counters().serve_rejected_malformed.add(1);
-        const Response resp = make_error(0, ErrorCode::kParse, *err);
+        const Response resp = make_error(0, code, *err);
         return send_frame(fd, FrameType::kResponse, serialise_response(resp));
       }
       const Response resp = handler_.handle(std::get<Request>(parsed), peer);

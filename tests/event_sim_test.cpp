@@ -246,21 +246,6 @@ spmt::SpmtResult run_event_counted(const ir::Loop& loop, const codegen::KernelPr
   return r;
 }
 
-/// simulate_doacross's machine configs: the paper's ncore-4 ring, the
-/// same ring at ncore 32, and ncore-32 locality blocks of 4 with the
-/// shared bus at 8 bytes per transfer.
-std::vector<std::pair<std::string, machine::SpmtConfig>> long_run_configs() {
-  machine::SpmtConfig c4;
-  c4.ncore = 4;
-  machine::SpmtConfig c32 = c4;
-  c32.ncore = 32;
-  machine::SpmtConfig loc = c32;
-  loc.policy = machine::AllocPolicy::kLocality;
-  loc.policy_block = 4;
-  loc.bus_bytes_per_transfer = 8;
-  return {{"ncore4_modulo", c4}, {"ncore32_modulo", c32}, {"ncore32_locality", loc}};
-}
-
 /// Addresses the kernel's stores write over `iterations` source
 /// iterations.
 std::size_t store_addresses(const codegen::KernelProgram& kp, const spmt::AddressStreams& streams,
@@ -317,7 +302,7 @@ TEST(EventSimLongRun, SquashHeavyDoacrossFamilyBitIdentical) {
   const std::pair<int, double> family[] = {{1, 1.0}, {2, 1.0}, {1, 0.5}};
   for (const auto& [distance, probability] : family) {
     const ir::Loop loop = squashy_loop(distance, probability);
-    for (const auto& [name, cfg] : long_run_configs()) {
+    for (const auto& [name, dir, cfg] : test::golden_configs()) {
       const codegen::KernelProgram kp = squashy_kernel(loop, mach, cfg);
       const std::string what = "squashy d" + std::to_string(distance) + " p" +
                                std::to_string(probability) + " " + name;
@@ -331,15 +316,23 @@ TEST(EventSimLongRun, SquashHeavyDoacrossFamilyBitIdentical) {
   }
 }
 
+/// The Table-3 schedules come from golden_sched_test's snapshots, which
+/// pin them to what tms_schedule returns; scheduling them again here
+/// would cost more than the simulation.
 TEST(EventSimLongRun, Table3LoopsBitIdentical) {
   machine::MachineModel mach;
   std::uint64_t seed = 1;
   for (const workloads::SelectedLoop& s : workloads::doacross_selected_loops()) {
-    for (const auto& [name, cfg] : long_run_configs()) {
-      const auto tms = sched::tms_schedule(s.loop, mach, cfg);
-      ASSERT_TRUE(tms.has_value()) << s.loop.name() << " " << name;
-      const codegen::KernelProgram kp = codegen::lower_kernel(tms->schedule, cfg);
-      check_long_run(s.loop, kp, cfg, seed++, s.loop.name() + " " + name);
+    for (const test::GoldenConfig& c : test::golden_configs()) {
+      const std::string key = test::snapshot_key(c, s.loop.name());
+      test::GoldenRecord g;
+      std::string err;
+      ASSERT_TRUE(test::read_golden(test::golden_path(TMS_SOURCE_DIR, key), key, g, err)) << err;
+      ASSERT_EQ(g.slots.size(), static_cast<std::size_t>(s.loop.num_instrs())) << key;
+      const sched::Schedule schedule = test::golden_schedule(s.loop, mach, g);
+      ASSERT_FALSE(schedule.validate().has_value()) << key;
+      const codegen::KernelProgram kp = codegen::lower_kernel(schedule, c.cfg);
+      check_long_run(s.loop, kp, c.cfg, seed++, s.loop.name() + " " + c.name);
     }
   }
 }
@@ -366,7 +359,7 @@ TEST(EventSimLongRun, WriteAfterReadAcrossStagesMatchesReference) {
     const spmt::ReferenceResult ref = spmt::run_reference(loop, streams, kIterations);
     for (const int st_slot : {0, 3}) {
       for (const int ld_slot : {17, 20}) {
-        for (const auto& [name, cfg] : long_run_configs()) {
+        for (const auto& [name, dir, cfg] : test::golden_configs()) {
           sched::Schedule s(loop, mach, 16);
           s.set_slot(ld, ld_slot);
           s.set_slot(st, st_slot);

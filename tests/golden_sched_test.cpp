@@ -1,15 +1,19 @@
 // Golden-schedule snapshots: the equivalence layer's anchor.
 //
-// Ten pinned workloads (hand-built loops, classic kernels, two fuzz
-// seeds) are TMS-scheduled under three SpMT configs, and the complete
-// outcome — II, MII, the acceptance thresholds, and every node's slot —
-// is frozen in tests/data/golden_sched/. The paper's Table 1 machine
-// (ncore 4, modulo) keeps its snapshots at the top level; ncore 32 with
-// the modulo policy, and ncore 32 with locality (block 4) and the shared
-// bus at 8 bytes per transfer, live in subdirectories. The ncore-32
-// configs are where the II sweep runs longest and its recurrence-floor
-// cutoff fires. The scheduler is deterministic (no RNG anywhere in the
-// sched path), so these files are machine-independent.
+// Seventeen pinned workloads (hand-built loops, classic kernels, two
+// fuzz seeds, and the seven Table-3 DOACROSS loops) are TMS-scheduled
+// under three SpMT configs, and the complete outcome — II, MII, the
+// acceptance thresholds, and every node's slot — is frozen in
+// tests/data/golden_sched/. The paper's Table 1 machine (ncore 4,
+// modulo) keeps its snapshots at the top level; ncore 32 with the modulo
+// policy, and ncore 32 with locality (block 4) and the shared bus at 8
+// bytes per transfer, live in subdirectories. The ncore-32 configs are
+// where the II sweep runs longest and its recurrence-floor cutoff fires.
+// lucas_sel is the one pinned loop whose recurrence closes through a
+// memory dependence, so it pins the ladder's memory-recurrence floor.
+// The scheduler is deterministic (no RNG anywhere in the sched path), so
+// these files are machine-independent, and event_sim_test rebuilds the
+// Table-3 schedules from them instead of scheduling again.
 //
 // A hot-path change that alters any schedule fails here and must
 // regenerate the snapshots *consciously*:
@@ -37,12 +41,16 @@
 #include "machine/spmt_config.hpp"
 #include "sched/tms.hpp"
 #include "test_util.hpp"
+#include "workloads/doacross.hpp"
 #include "workloads/kernels.hpp"
 
 namespace tms {
 namespace {
 
-std::string golden_dir() { return std::string(TMS_SOURCE_DIR) + "/tests/data/golden_sched"; }
+using test::GoldenConfig;
+using test::GoldenRecord;
+using test::golden_configs;
+using test::snapshot_key;
 
 struct GoldenWorkload {
   std::string name;
@@ -64,41 +72,12 @@ std::vector<GoldenWorkload> golden_workloads() {
   }
   out.push_back({"prop_9001", test::random_loop(9001)});
   out.push_back({"prop_9002", test::random_loop(9002)});
+  for (workloads::SelectedLoop& s : workloads::doacross_selected_loops()) {
+    std::string n = s.loop.name();
+    out.push_back({std::move(n), std::move(s.loop)});
+  }
   return out;
 }
-
-/// One machine the snapshots are frozen under. `dir` is the snapshot
-/// subdirectory; the empty one is the top level.
-struct GoldenConfig {
-  std::string dir;
-  machine::SpmtConfig cfg;
-};
-
-std::vector<GoldenConfig> golden_configs() {
-  const machine::SpmtConfig table1;
-  machine::SpmtConfig c32 = table1;
-  c32.ncore = 32;
-  machine::SpmtConfig loc = c32;
-  loc.policy = machine::AllocPolicy::kLocality;
-  loc.policy_block = 4;
-  loc.bus_bytes_per_transfer = 8;
-  return {{"", table1}, {"ncore32_modulo", c32}, {"ncore32_locality_bus8", loc}};
-}
-
-/// Snapshot key of a workload under a config: its path below
-/// golden_dir() without the extension, and the name in its header.
-std::string snapshot_key(const GoldenConfig& c, const std::string& name) {
-  return c.dir.empty() ? name : c.dir + "/" + name;
-}
-
-/// The frozen outcome of one workload.
-struct GoldenRecord {
-  int ii = 0;
-  int mii = 0;
-  int c_delay = 0;
-  double p_max = 0.0;
-  std::vector<int> slots;  ///< indexed by node id
-};
 
 GoldenRecord record_of(const sched::TmsResult& r) {
   GoldenRecord g;
@@ -125,44 +104,8 @@ std::string serialise(const std::string& name, const GoldenRecord& g) {
   return out.str();
 }
 
-bool load(const std::string& name, GoldenRecord& g, std::string& err) {
-  const std::string path = golden_dir() + "/" + name + ".txt";
-  std::ifstream in(path);
-  if (!in) {
-    err = "missing snapshot " + path + " (run golden_sched_test --update)";
-    return false;
-  }
-  std::string line;
-  std::getline(in, line);
-  if (line != "golden-sched-v1 " + name) {
-    err = path + ": bad header '" + line + "'";
-    return false;
-  }
-  std::string key;
-  while (in >> key) {
-    if (key == "ii") {
-      in >> g.ii;
-    } else if (key == "mii") {
-      in >> g.mii;
-    } else if (key == "c_delay") {
-      in >> g.c_delay;
-    } else if (key == "p_max") {
-      in >> g.p_max;
-    } else if (key == "node") {
-      std::size_t v = 0;
-      int slot = 0;
-      in >> v >> slot;
-      if (v != g.slots.size()) {
-        err = path + ": node ids out of order";
-        return false;
-      }
-      g.slots.push_back(slot);
-    } else {
-      err = path + ": unknown key '" + key + "'";
-      return false;
-    }
-  }
-  return true;
+bool load(const std::string& key, GoldenRecord& g, std::string& err) {
+  return test::read_golden(test::golden_path(TMS_SOURCE_DIR, key), key, g, err);
 }
 
 /// The safety floor applied on every path (test and --update): the
@@ -229,7 +172,6 @@ TEST(GoldenSchedTest, Ncore32LocalityBusMatchesSnapshots) {
 int update_snapshots() {
   const machine::MachineModel mach;
   for (const GoldenConfig& c : golden_configs()) {
-    std::filesystem::create_directories(golden_dir() + "/" + c.dir);
     for (const GoldenWorkload& w : golden_workloads()) {
       const std::string key = snapshot_key(c, w.name);
       const auto r = sched::tms_schedule(w.loop, mach, c.cfg);
@@ -251,7 +193,8 @@ int update_snapshots() {
                      key.c_str(), prev.ii, r->schedule.ii());
         return 1;
       }
-      const std::string path = golden_dir() + "/" + key + ".txt";
+      const std::string path = test::golden_path(TMS_SOURCE_DIR, key);
+      std::filesystem::create_directories(std::filesystem::path(path).parent_path());
       std::ofstream out(path);
       if (!out || !(out << serialise(key, record_of(*r)))) {
         std::fprintf(stderr, "update: cannot write %s\n", path.c_str());

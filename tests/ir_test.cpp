@@ -2,6 +2,7 @@
 
 #include "ir/graph.hpp"
 #include "ir/loop.hpp"
+#include "ir/textio.hpp"
 #include "machine/machine.hpp"
 #include "test_util.hpp"
 #include "workloads/figure1.hpp"
@@ -61,6 +62,40 @@ TEST(Loop, ValidateRejectsMemEdgeOnNonMemoryOps) {
   const NodeId b = loop.add_instr(Opcode::kIAdd);
   loop.add_dep(a, b, DepKind::kMemory, DepType::kFlow, 1, 0.5);
   EXPECT_TRUE(loop.validate().has_value());
+}
+
+// A distance past the bound used to overflow II * distance inside the
+// scheduler and abort it; the loop is refused up front instead.
+TEST(Loop, ValidateBoundsTheDependenceDistance) {
+  for (const int distance : {ir::kMaxDistance, ir::kMaxDistance + 1, 2147483647}) {
+    ir::Loop loop("huge");
+    const ir::NodeId a = loop.add_instr(ir::Opcode::kIAdd, "a");
+    const ir::NodeId s = loop.add_instr(ir::Opcode::kIAdd, "s");
+    loop.add_reg_flow(a, s, 0);
+    loop.add_reg_flow(s, s, distance);
+    const auto err = loop.validate();
+    if (distance <= ir::kMaxDistance) {
+      EXPECT_FALSE(err.has_value()) << *err;
+    } else {
+      ASSERT_TRUE(err.has_value()) << distance;
+      EXPECT_NE(err->find("exceeds the bound 65536"), std::string::npos) << *err;
+    }
+  }
+}
+
+TEST(TextIo, DistanceAboveTheBoundIsALineError) {
+  const auto ok = ir::parse_loop_string("loop huge\ninstr s iadd\nreg s s 65536\n");
+  EXPECT_TRUE(std::holds_alternative<ir::Loop>(ok));
+  const auto parsed = ir::parse_loop_string("loop huge\ninstr s iadd\nreg s s 2147483647\n");
+  const auto* err = std::get_if<ir::ParseError>(&parsed);
+  ASSERT_NE(err, nullptr);
+  EXPECT_EQ(err->line, 3);
+  EXPECT_TRUE(err->over_bound);
+  EXPECT_EQ(err->message, "distance 2147483647 exceeds the bound 65536");
+  // A syntax error is not a bound error.
+  const auto syntax = ir::parse_loop_string("loop huge\ninstr s iadd\nreg s s x\n");
+  ASSERT_NE(std::get_if<ir::ParseError>(&syntax), nullptr);
+  EXPECT_FALSE(std::get<ir::ParseError>(syntax).over_bound);
 }
 
 TEST(Scc, SingleNodeNoSelfLoopIsTrivial) {

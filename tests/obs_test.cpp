@@ -767,6 +767,53 @@ TEST(Explain, RendersTheIiCutoffAsTheReasonTheSweepStopped) {
   EXPECT_NE(out.find("recurrence floors (C_delay 5, 3 comm pairs)"), std::string::npos) << out;
 }
 
+TEST(Explain, RendersARungBelowTheMemoryFloorWithItsFloor) {
+  obs::ExplainInput in;
+  in.loop_name = "memrec";
+  in.mii = 62;
+  in.events.push_back(attempt_event(62, 67, 0.01, true));
+  obs::TraceEvent below;
+  below.cat = "sched";
+  below.name = "tms.rung_below_floor";
+  below.phase = 'i';
+  below.nargs = 4;
+  below.args[0] = obs::targ("ii", 62);
+  below.args[1] = obs::targ("c_delay", 36);
+  below.args[2] = obs::targ("p_max", 0.01);
+  below.args[3] = obs::targ("floor", 62);
+  in.events.push_back(below);
+
+  const std::string out = obs::render_tms_explain(in);
+  EXPECT_NE(out.find("C_delay <= 36  p_max = 0.01  ->  infeasible  [not run: below the "
+                     "memory-recurrence floor C_delay 62]"),
+            std::string::npos)
+      << out;
+  EXPECT_NE(out.find("1 threshold attempts, 1 rungs below the floor not run"), std::string::npos)
+      << out;
+}
+
+TEST(Explain, RendersASkippedPmaxSweep) {
+  obs::ExplainInput in;
+  in.loop_name = "clean";
+  in.mii = 8;
+  in.events.push_back(attempt_event(8, 11, 0.01, true));
+  obs::TraceEvent skipped;
+  skipped.cat = "sched";
+  skipped.name = "tms.sweep_skipped";
+  skipped.phase = 'i';
+  skipped.nargs = 2;
+  skipped.args[0] = obs::targ("ii", 8);
+  skipped.args[1] = obs::targ("p_max", 0.1);
+  in.events.push_back(skipped);
+
+  const std::string out = obs::render_tms_explain(in);
+  EXPECT_NE(out.find("II = 8 (MII+0):\n  C_delay <= 11  p_max = 0.01  ->  feasible  \n"
+                     "  p_max = 0.10 sweep skipped: a stricter sweep met no C2 rejection"),
+            std::string::npos)
+      << out;
+  EXPECT_NE(out.find("1 threshold attempts, 1 P_max sweeps skipped"), std::string::npos) << out;
+}
+
 TEST(Explain, EmptyTraceSaysSo) {
   obs::ExplainInput in;
   in.loop_name = "empty";

@@ -662,6 +662,39 @@ TEST(Server, PingAndCompileOverAUnixSocket) {
   ASSERT_NE(std::get_if<serve::Response>(&again), nullptr);
 }
 
+// A dependence distance past ir::kMaxDistance used to overflow the
+// scheduler's II * distance and abort the daemon. It is answered
+// bad-request at parse time, and the same connection serves the next
+// request.
+TEST(Server, DistanceAboveTheBoundIsABadRequestAndTheNextRequestIsServed) {
+  ServerFixture fx;
+  ASSERT_FALSE(fx.server.start().has_value());
+  serve::Client client;
+  ASSERT_FALSE(client.connect_unix(fx.dir.socket_path()).has_value());
+
+  serve::Request huge = chain_request(7);
+  huge.loop = ir::Loop("huge");
+  const ir::NodeId a = huge.loop.add_instr(ir::Opcode::kIAdd, "a");
+  const ir::NodeId s = huge.loop.add_instr(ir::Opcode::kIAdd, "s");
+  huge.loop.add_reg_flow(a, s, 0);
+  huge.loop.add_reg_flow(s, s, 2147483647);
+  const auto bad = client.compile(huge);
+  const auto* refused = std::get_if<serve::Response>(&bad);
+  ASSERT_NE(refused, nullptr) << std::get<std::string>(bad);
+  EXPECT_FALSE(refused->ok);
+  EXPECT_EQ(refused->code, serve::ErrorCode::kBadRequest) << refused->message;
+  EXPECT_NE(refused->message.find("distance 2147483647 exceeds the bound 65536"),
+            std::string::npos)
+      << refused->message;
+
+  const serve::Request req = chain_request(8);
+  const auto next = client.compile(req);
+  const auto* resp = std::get_if<serve::Response>(&next);
+  ASSERT_NE(resp, nullptr) << std::get<std::string>(next);
+  EXPECT_EQ(resp->id, 8u);
+  expect_valid_remote_schedule(*resp, req.loop, fx.mach);
+}
+
 TEST(Server, ConnectToMissingSocketFails) {
   serve::Client client;
   EXPECT_TRUE(client.connect_unix("serve_test_nonexistent/s").has_value());

@@ -10,7 +10,9 @@
 #include "sched/mrt.hpp"
 #include "sched/sms.hpp"
 #include "sched/tms.hpp"
+#include "support/rng.hpp"
 #include "test_util.hpp"
+#include "workloads/builder.hpp"
 #include "workloads/doacross.hpp"
 #include "workloads/figure1.hpp"
 
@@ -209,6 +211,168 @@ TEST(TmsIiCutoff, Ncore32DoacrossSweepsStopAtRecurrenceFloors) {
       EXPECT_EQ(obs::counters().sched_ii_cutoffs.value() - cutoffs_before, 1u);
       EXPECT_LT(r->pairs_tried, kPairsCeiling);
     }
+  }
+}
+
+// ---- Memory-recurrence floor -------------------------------------------
+
+/// A recurrence closed through memory: a distance-0 register chain from
+/// the load `ld` to the store `st`, closed by the distance-1 store -> load
+/// memory flow dependence st -> ld of probability `p`. The rest of the
+/// `instrs` instructions are loads feeding chain nodes, side computations
+/// of chain values ending in stores, and a few distance-1 register edges
+/// from later chain nodes back to earlier ones; `seed` picks the chain
+/// length, the opcodes and the filler.
+ir::Loop memory_recurrence_loop(int instrs, double p, std::uint64_t seed) {
+  support::Rng rng(seed);
+  ir::Loop loop("memrec_" + std::to_string(instrs) + "_" + std::to_string(seed));
+  const ir::Opcode ops[] = {ir::Opcode::kIAdd, ir::Opcode::kFAdd, ir::Opcode::kFMul,
+                            ir::Opcode::kIMul, ir::Opcode::kLogic};
+  auto pick_op = [&] { return ops[rng.uniform_int(0, 4)]; };
+  const ir::NodeId ld = loop.add_instr(ir::Opcode::kLoad, "ld");
+  std::vector<ir::NodeId> chain;
+  ir::NodeId prev = ld;
+  const int links = rng.uniform_int(2, std::max(2, instrs / 4));
+  for (int i = 0; i < links; ++i) {
+    const ir::NodeId c = loop.add_instr(pick_op());
+    loop.add_reg_flow(prev, c, 0);
+    chain.push_back(c);
+    prev = c;
+  }
+  const ir::NodeId st = loop.add_instr(ir::Opcode::kStore, "st");
+  loop.add_reg_flow(prev, st, 0);
+  loop.add_mem_flow(st, ld, 1, p);
+  auto pick_chain = [&] { return chain[static_cast<std::size_t>(
+                              rng.uniform_int(0, static_cast<int>(chain.size()) - 1))]; };
+  while (loop.num_instrs() < instrs) {
+    if (loop.num_instrs() + 2 <= instrs && rng.chance(0.5)) {
+      const ir::NodeId side = loop.add_instr(pick_op());
+      const ir::NodeId out = loop.add_instr(ir::Opcode::kStore);
+      loop.add_reg_flow(pick_chain(), side, 0);
+      loop.add_reg_flow(side, out, 0);
+    } else {
+      const ir::NodeId feed = loop.add_instr(ir::Opcode::kLoad);
+      loop.add_reg_flow(feed, pick_chain(), 0);
+    }
+  }
+  for (std::size_t i = 1; i < chain.size(); ++i) {
+    if (rng.chance(0.2)) {
+      const auto j = static_cast<std::size_t>(rng.uniform_int(0, static_cast<int>(i) - 1));
+      loop.add_reg_flow(chain[i], chain[j], 1);
+    }
+  }
+  return loop;
+}
+
+/// The family: every size band and closing probability. 0.10 sits exactly
+/// at a P_max value, where C2 still lets the closing dependence be
+/// speculated, so it must not raise that sweep's floor.
+std::vector<ir::Loop> memory_recurrence_family() {
+  std::vector<ir::Loop> out;
+  const int sizes[] = {12, 20, 32, 44, 60};
+  std::uint64_t seed = 71;
+  for (const double p : {0.005, 0.05, 0.10, 0.5, 1.0}) {
+    for (const int n : sizes) out.push_back(memory_recurrence_loop(n, p, seed++));
+  }
+  return out;
+}
+
+/// Runs `fn` and returns how far it moved the scheduler's work counters.
+struct LadderWork {
+  std::uint64_t attempts = 0;
+  std::uint64_t below_floor = 0;
+  std::uint64_t slots_tried = 0;
+};
+template <typename Fn>
+LadderWork ladder_work(Fn&& fn) {
+  const obs::Counters& c = obs::counters();
+  const LadderWork before{c.sched_attempts.value(), c.sched_rungs_below_floor.value(),
+                          c.sched_slots_tried.value()};
+  fn();
+  return {c.sched_attempts.value() - before.attempts,
+          c.sched_rungs_below_floor.value() - before.below_floor,
+          c.sched_slots_tried.value() - before.slots_tried};
+}
+
+// ladder_reuse = false runs every rung, so it is the reference for the
+// floor skip: the skipped rungs must be exactly the ones that could not
+// succeed, and a sweep a skip stops being replayed must run to the
+// replay's result. The skip acts per rung, so the sweeps are held to 12
+// IIs above MII to keep the 100 schedules fast.
+TEST(TmsMemoryFloor, SkipMatchesTheRunEveryRungReference) {
+  const machine::MachineModel mach;
+  TmsOptions opts;
+  opts.max_ii_slack = 12;
+  TmsOptions reference = opts;
+  reference.ladder_reuse = false;
+  std::uint64_t below_floor = 0;
+  for (const int ncore : {4, 32}) {
+    machine::SpmtConfig cfg;
+    cfg.ncore = ncore;
+    for (const ir::Loop& loop : memory_recurrence_family()) {
+      SCOPED_TRACE(loop.name() + " ncore " + std::to_string(ncore));
+      std::optional<TmsResult> fast;
+      below_floor += ladder_work([&] { fast = tms_schedule(loop, mach, cfg, opts); }).below_floor;
+      const auto slow = tms_schedule(loop, mach, cfg, reference);
+      ASSERT_TRUE(fast.has_value() && slow.has_value());
+      EXPECT_EQ(fast->schedule.ii(), slow->schedule.ii());
+      EXPECT_EQ(fast->c_delay_threshold, slow->c_delay_threshold);
+      EXPECT_EQ(fast->p_max, slow->p_max);
+      EXPECT_EQ(fast->f_value, slow->f_value);
+      EXPECT_EQ(fast->misspec_probability, slow->misspec_probability);
+      EXPECT_EQ(fast->pairs_tried, slow->pairs_tried);
+      for (ir::NodeId v = 0; v < loop.num_instrs(); ++v) {
+        EXPECT_EQ(fast->schedule.slot(v), slow->schedule.slot(v)) << "node " << v;
+      }
+    }
+  }
+  EXPECT_GT(below_floor, 0u);
+}
+
+// The ladder's exact work on five loops at the paper's machine and the
+// default options: two memory-recurrence loops, where rungs fall below
+// the floor, and three build_loop shapes of 50-150 instructions, whose
+// recurrences never close through memory, so the floor never binds. A
+// change to the floor, the rung order or the slot search moves these.
+TEST(TmsMemoryFloor, LadderWorkIsPinned) {
+  struct Pin {
+    ir::Loop loop;
+    std::uint64_t attempts;
+    std::uint64_t below_floor;
+    std::uint64_t slots_tried;
+  };
+  auto shape = [](int instrs, int mem_deps, std::uint64_t seed) {
+    workloads::LoopShape s;
+    s.name = "shape_" + std::to_string(instrs);
+    s.target_instrs = instrs;
+    s.rec_circuit_delay = 8;
+    s.rec_circuit_len = 4;
+    s.accumulators = 2;
+    s.feeders = 2;
+    s.mem_deps = mem_deps;
+    s.mem_prob_lo = 0.01;
+    s.mem_prob_hi = 0.5;
+    s.seed = seed;
+    return workloads::build_loop(s);
+  };
+  const std::vector<ir::Loop> family = memory_recurrence_family();
+  // Without the floor the two memory-recurrence loops ran 176 and 735
+  // rungs over 50,895 and 215,092 slots; the shapes' work is unchanged.
+  const Pin pins[] = {
+      {family[11], 172, 4, 47'997},    // memrec_20_82: p 0.10
+      {family[20], 699, 36, 176'654},  // memrec_12_91: p 1.0
+      {shape(50, 2, 5), 406, 0, 504'426},
+      {shape(100, 6, 5), 298, 0, 896'247},
+      {shape(150, 6, 6), 224, 0, 1'358'152},
+  };
+  const machine::MachineModel mach;
+  const machine::SpmtConfig cfg;
+  for (const Pin& pin : pins) {
+    SCOPED_TRACE(pin.loop.name());
+    const LadderWork w = ladder_work([&] { ASSERT_TRUE(tms_schedule(pin.loop, mach, cfg)); });
+    EXPECT_EQ(w.attempts, pin.attempts);
+    EXPECT_EQ(w.below_floor, pin.below_floor);
+    EXPECT_EQ(w.slots_tried, pin.slots_tried);
   }
 }
 

@@ -44,6 +44,18 @@ expect 0 "all jobs ok" \
 printf 'loop broken\ninstr a iadd\nreg a a 0\n' >"$WORK/broken.loop"
 expect 1 "malformed loop file" "$TMSBATCH" "$WORK/broken.loop" --quiet
 
+# exit 1: a dependence distance past the bound (65,536) is a load error
+# naming its line, in tmsbatch and tmsc alike (it used to overflow
+# II * distance in the scheduler and abort).
+printf 'loop huge\ninstr a iadd\ninstr s iadd\nreg a s 0\nreg s s 2147483647\n' >"$WORK/huge.loop"
+expect 1 "distance above the bound" "$TMSBATCH" "$WORK/huge.loop" --quiet
+expect 1 "tmsc distance above the bound" "$TMSC" "$WORK/huge.loop"
+if ! grep -q "huge.loop:5: distance 2147483647 exceeds the bound 65536" "$WORK/out.txt"; then
+  echo "tmsbatch_exit: FAIL: tmsc did not name the line of the distance" >&2
+  cat "$WORK/out.txt" >&2
+  fail=1
+fi
+
 # exit 1: a missing input file.
 expect 1 "missing loop file" "$TMSBATCH" "$WORK/does_not_exist.loop" --quiet
 
