@@ -53,7 +53,6 @@ OracleReport run_differential_oracle(const ir::Loop& loop, const sched::Schedule
   sim_opts.iterations = n;
   sim_opts.keep_memory = true;
   sim_opts.collect_trace = true;
-  sim_opts.engine = opts.engine;
   const spmt::SpmtResult sim = spmt::run_spmt(loop, kp, cfg, streams, sim_opts);
   report.stats = sim.stats;
 

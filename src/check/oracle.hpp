@@ -45,10 +45,6 @@ struct OracleOptions {
   std::uint64_t stream_seed = 42;
   /// Also run the single-threaded baseline and its invariants.
   bool run_baseline = true;
-  /// Simulator engine the SpMT run uses. The oracle's invariants are
-  /// engine-independent; running the suite under both engines is part
-  /// of the event-vs-legacy differential guarantee (docs/SIMULATOR.md).
-  spmt::SimEngine engine = spmt::SimEngine::kEventDriven;
 };
 
 struct OracleReport {

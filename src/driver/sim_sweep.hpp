@@ -23,7 +23,7 @@ namespace tms::driver {
 
 /// One independent simulation: a loop with its lowered kernel, the
 /// machine config to simulate, and the simulator options (iterations,
-/// engine, keep_memory, ...).
+/// keep_memory, ...).
 struct SimSweepPoint {
   std::string name;  ///< label echoed in the outcome (e.g. "fft.ncore32")
   ir::Loop loop;

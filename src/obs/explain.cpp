@@ -88,6 +88,22 @@ void append_tally(std::string& out, const Tally& t) {
   out += "]";
 }
 
+std::string dropped_line(const ExplainInput& in) {
+  if (in.dropped_events == 0) return "";
+  return fmt("Ladder cut short: the trace buffer dropped %llu event(s), so the ladder and "
+             "its totals are partial\n",
+             static_cast<unsigned long long>(in.dropped_events));
+}
+
+std::string result_line(const ExplainInput& in) {
+  if (!in.result.has_value()) {
+    return "\nResult: no feasible schedule within the II search range\n";
+  }
+  const ExplainInput::Landing& r = *in.result;
+  return fmt("\nResult: schedule found at II = %d (MII%+d), C_delay = %d, p_max = %.2f\n", r.ii,
+             r.ii - in.mii, r.c_delay, r.p_max);
+}
+
 }  // namespace
 
 std::string render_tms_explain(const ExplainInput& in) {
@@ -95,7 +111,6 @@ std::string render_tms_explain(const ExplainInput& in) {
   Tally running;
   Tally total;
   std::map<std::int64_t, std::int64_t> rejects_by_node;
-  const TraceEvent* result = nullptr;
   const TraceEvent* cutoff = nullptr;
 
   for (const TraceEvent& e : in.events) {
@@ -142,8 +157,6 @@ std::string render_tms_explain(const ExplainInput& in) {
       attempts.push_back(a);
     } else if (e.phase == 'i' && std::strcmp(e.name, "tms.ii_cutoff") == 0) {
       cutoff = &e;
-    } else if (e.phase == 'i' && std::strcmp(e.name, "tms.result") == 0) {
-      result = &e;
     }
   }
 
@@ -155,7 +168,7 @@ std::string render_tms_explain(const ExplainInput& in) {
 
   if (attempts.empty()) {
     out += "no scheduling attempts recorded (was tracing armed?)\n";
-    return out;
+    return out + dropped_line(in) + result_line(in);
   }
 
   out += "\nRelaxation ladder (threshold attempts, in order):\n";
@@ -197,6 +210,7 @@ std::string render_tms_explain(const ExplainInput& in) {
                ii, ii - in.mii, static_cast<long long>(arg_int(*cutoff, "cd_floor", 0)),
                static_cast<long long>(arg_int(*cutoff, "pairs_floor", 0)));
   }
+  out += dropped_line(in);
 
   out += "\nTotals: ";
   out += fmt("%zu threshold attempts", ran);
@@ -223,18 +237,7 @@ std::string render_tms_explain(const ExplainInput& in) {
     }
   }
 
-  if (result != nullptr) {
-    const bool ok = arg_int(*result, "feasible", 0) != 0;
-    if (ok) {
-      const int ii = static_cast<int>(arg_int(*result, "ii", 0));
-      out += fmt("\nResult: schedule found at II = %d (MII%+d), C_delay = %lld, p_max = %.2f\n",
-                 ii, ii - in.mii, static_cast<long long>(arg_int(*result, "c_delay", 0)),
-                 arg_double(*result, "p_max", 0.0));
-    } else {
-      out += "\nResult: no feasible schedule within the II search range\n";
-    }
-  }
-  return out;
+  return out + result_line(in);
 }
 
 }  // namespace tms::obs

@@ -8,9 +8,9 @@
 // become machine knobs here: machine::SpmtConfig names the policy and
 // the bus parameters, and this library turns them into behaviour.
 //
-// A CorePolicy answers exactly two questions, and both simulator engines
-// (spmt/sim.cpp, spmt/event_sim.cpp) route every placement and every
-// forwarding delay through it:
+// A CorePolicy answers exactly two questions, and the simulator
+// (spmt/event_sim.cpp, and the legacy stepper the tests keep as its
+// reference) routes every placement and every forwarding delay through it:
 //   core_of(k)        which core runs thread/iteration k
 //   comm_cost(d, k)   cycles (and bus transfers) to deliver a value
 //                     produced d threads upstream to consumer thread k

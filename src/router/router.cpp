@@ -214,6 +214,9 @@ serve::Response Router::handle(const serve::Request& req, std::string_view /*pee
     }
     resp.trace_id = client_traced ? tctx.trace_id() : 0;
     resp.span_id = client_traced ? tctx.span_id() : 0;
+    // A shard's answer already echoes the id (or the one it minted); the
+    // errors the router makes itself echo the client's.
+    if (resp.request_id.empty()) resp.request_id = req.request_id;
     return resp;
   };
 

@@ -392,26 +392,6 @@ std::optional<Schedule> try_thresholds(const ir::Loop& loop, const machine::Mach
 
 }  // namespace
 
-std::optional<Schedule> tms_try_thresholds(const ir::Loop& loop,
-                                           const machine::MachineModel& mach,
-                                           const machine::SpmtConfig& cfg, int ii, int c_delay,
-                                           double p_max) {
-  TMS_ASSERT_MSG(!loop.validate().has_value(), "loop must be well-formed");
-  const std::vector<ir::NodeId> order = sms_node_order(loop, mach);
-  const std::vector<int> depth = ir::node_depths(loop, mach.latencies(loop));
-  obs::counters().sched_attempts.add(1);
-  TMS_TRACE_SPAN(span, "sched", "tms.attempt");
-  TmsWorkspace ws;
-  std::optional<Schedule> s = try_thresholds(loop, mach, cfg, ii, c_delay, p_max, order, depth, ws);
-  if (s.has_value()) {
-    obs::counters().sched_attempts_feasible.add(1);
-    s->normalise();
-  }
-  TMS_TRACE_SPAN_ARG(span, obs::targ("ii", ii), obs::targ("c_delay", c_delay),
-                     obs::targ("p_max", p_max), obs::targ("feasible", s.has_value() ? 1 : 0));
-  return s;
-}
-
 std::optional<TmsResult> tms_schedule(const ir::Loop& loop, const machine::MachineModel& mach,
                                       const machine::SpmtConfig& cfg, const TmsOptions& opts) {
   TMS_ASSERT_MSG(!loop.validate().has_value(), "loop must be well-formed");

@@ -76,11 +76,4 @@ std::optional<TmsResult> tms_schedule(const ir::Loop& loop, const machine::Machi
                                       const machine::SpmtConfig& cfg,
                                       const TmsOptions& opts = {});
 
-/// One scheduling attempt at fixed thresholds (II, C_delay, P_max) —
-/// Fig. 3's inner loop body. Exposed for tests and ablation studies.
-std::optional<Schedule> tms_try_thresholds(const ir::Loop& loop,
-                                           const machine::MachineModel& mach,
-                                           const machine::SpmtConfig& cfg, int ii, int c_delay,
-                                           double p_max);
-
 }  // namespace tms::sched

@@ -21,7 +21,6 @@ QuickEstimate quick_estimate(const ir::Loop& loop, const codegen::KernelProgram&
   SpmtOptions sim;
   sim.iterations = qe.iterations;
   sim.keep_memory = opts.check_semantics;
-  sim.engine = SimEngine::kEventDriven;
   const SpmtResult res = run_spmt(loop, kp, cfg, streams, sim);
   qe.stats = res.stats;
   qe.cycles_per_iteration =

@@ -1,13 +1,13 @@
-// The event-driven SpMT simulator core (docs/SIMULATOR.md).
+// The SpMT simulator's engine, event-driven (docs/SIMULATOR.md).
 //
-// Same execution model as the legacy walker in sim.cpp — thread k runs
+// It implements the execution model of sim.hpp: thread k runs
 // kernel iteration k on the core chosen by the configured allocation
 // policy (SpmtConfig::policy via policy::make_policy; the paper default
 // is core k mod ncore), sequential spawn/commit, policy-priced register
 // forwarding (ring SEND/RECV legs plus the optional shared-bus
 // contention charge), speculated memory dependences with squash +
-// re-execute — but organised around events instead of a monolithic
-// per-thread loop:
+// re-execute. It is organised around events rather than the legacy
+// stepper's monolithic per-thread loop:
 //
 //   * Each simulated core owns a ready queue of threads waiting for the
 //     core to drain its previous commit; a global min-heap of
@@ -39,9 +39,11 @@
 //     table — the hot path never consults a node-indexed hash map.
 //
 // Every stat, the committed memory image, the value fingerprint and
-// the trace are bit-identical to the legacy engine; the differential
-// suite in tests/event_sim_test.cpp enforces this on randomized
-// workloads, and docs/SIMULATOR.md spells out why the guarantee holds.
+// the trace are bit-identical to the legacy stepper, the simulator's
+// original engine, which the tests keep as the differential reference
+// (tests/legacy_stepper.cpp). The differential suite in
+// tests/event_sim_test.cpp enforces this on randomized workloads, and
+// docs/SIMULATOR.md spells out why the guarantee holds.
 #include <algorithm>
 #include <cstdint>
 #include <deque>
@@ -51,6 +53,7 @@
 
 #include "ir/graph.hpp"
 #include "obs/counters.hpp"
+#include "obs/trace.hpp"
 #include "policy/policy.hpp"
 #include "spmt/cache.hpp"
 #include "spmt/sim.hpp"
@@ -885,18 +888,33 @@ class EventEngine {
 
 }  // namespace
 
-SpmtResult run_spmt_event(const ir::Loop& loop, const codegen::KernelProgram& kp,
-                          const machine::SpmtConfig& cfg, const AddressStreams& streams,
-                          const SpmtOptions& opts) {
+SpmtResult run_spmt(const ir::Loop& loop, const codegen::KernelProgram& kp,
+                    const machine::SpmtConfig& cfg, const AddressStreams& streams,
+                    const SpmtOptions& opts) {
   cfg.check();
   TMS_ASSERT(opts.iterations >= 1);
+  TMS_TRACE_SPAN(span, "spmt", "spmt.run");
   EventEngine engine(loop, kp, cfg, streams, opts);
   SpmtResult res = engine.run();
   res.stats.spec_wait_cycles = engine.spec_wait_cycles();
-  obs::counters().sim_events.add(
-      static_cast<std::uint64_t>(std::max<std::int64_t>(0, engine.events_processed())));
-  obs::counters().sim_store_records.add(engine.store_records());
-  obs::counters().sim_store_records_folded.add(engine.store_records_folded());
+  const auto count = [](std::int64_t v) {
+    return static_cast<std::uint64_t>(std::max<std::int64_t>(0, v));
+  };
+  obs::Counters& c = obs::counters();
+  c.sim_runs.add(1);
+  c.sim_events.add(count(engine.events_processed()));
+  c.sim_store_records.add(engine.store_records());
+  c.sim_store_records_folded.add(engine.store_records_folded());
+  c.sim_squashes.add(count(res.stats.misspeculations));
+  c.sim_sync_stall_cycles.add(count(res.stats.sync_stall_cycles));
+  c.sim_mem_stall_cycles.add(count(res.stats.mem_stall_cycles));
+  c.sim_squashed_cycles.add(count(res.stats.squashed_cycles));
+  c.sim_send_recv_pairs.add(count(res.stats.send_recv_pairs));
+  c.sim_bus_transfers.add(count(res.stats.bus_transfers));
+  c.sim_bus_cycles.add(count(res.stats.bus_cycles));
+  TMS_TRACE_SPAN_ARG(span, obs::targ("iterations", opts.iterations),
+                     obs::targ("cycles", res.stats.total_cycles),
+                     obs::targ("squashes", res.stats.misspeculations));
   return res;
 }
 

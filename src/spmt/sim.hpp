@@ -29,24 +29,13 @@
 
 namespace tms::spmt {
 
-/// Which simulator core executes the run (docs/SIMULATOR.md). Both
-/// engines implement the same execution model and produce bit-identical
-/// SpmtStats, memory images, fingerprints and traces — enforced by the
-/// differential suite in tests/event_sim_test.cpp. The event-driven core
-/// is the default; the legacy thread walker is retained as the
-/// differential reference, mirroring the bitmap-vs-scalar MRT pattern.
+/// The simulator has one engine, the event-driven core in event_sim.cpp
+/// (docs/SIMULATOR.md). This enum and SpmtOptions::engine remain only
+/// because the benchmark's perfbench/simulate_doacross.cpp assigns
+/// kEventDriven, and the benchmark's sources change only together with
+/// the benchmark. They go when that line does (ROADMAP item 3).
 enum class SimEngine {
-  /// Per-core ready queues feeding a global event heap that advances the
-  /// shared simulated clock (spawn, core-wake and squash-retry events);
-  /// idle gaps are skipped by jumping the clock, per-thread walks touch
-  /// only "eventful" kernel ops, and per-address store timelines are
-  /// key-sorted with a prefix-max-time index so load forwarding and
-  /// violation checks are O(log stores) instead of O(stores).
   kEventDriven,
-  /// The original sequential thread walker: every kernel op of every
-  /// thread is visited and per-address store history is scanned
-  /// linearly per load.
-  kLegacyStepper,
 };
 
 struct SpmtOptions {
@@ -63,7 +52,7 @@ struct SpmtOptions {
   /// "without speculation" ablation).
   bool disable_speculation = false;
   int max_reexecutions = 8;  ///< before falling back to head-only execution
-  SimEngine engine = SimEngine::kEventDriven;
+  SimEngine engine = SimEngine::kEventDriven;  ///< the only value; see SimEngine
 };
 
 struct SpmtStats {
@@ -137,20 +126,10 @@ std::string trace_to_csv(const std::vector<ThreadTrace>& trace);
 std::string trace_to_ascii(const std::vector<ThreadTrace>& trace, int max_threads = 12);
 
 /// Runs the kernel program for `opts.iterations` source iterations of the
-/// loop it was lowered from, dispatching on `opts.engine`.
+/// loop it was lowered from on the event engine, and adds the run to the
+/// `sim.*` obs counters.
 SpmtResult run_spmt(const ir::Loop& loop, const codegen::KernelProgram& kp,
                     const machine::SpmtConfig& cfg, const AddressStreams& streams,
                     const SpmtOptions& opts = {});
-
-/// Engine entry points, exposed so the differential suite can name an
-/// engine explicitly regardless of `opts.engine`. Both return the same
-/// result for the same inputs; `run_spmt` adds the obs counter flush on
-/// top and is what everything outside tests should call.
-SpmtResult run_spmt_legacy(const ir::Loop& loop, const codegen::KernelProgram& kp,
-                           const machine::SpmtConfig& cfg, const AddressStreams& streams,
-                           const SpmtOptions& opts = {});
-SpmtResult run_spmt_event(const ir::Loop& loop, const codegen::KernelProgram& kp,
-                          const machine::SpmtConfig& cfg, const AddressStreams& streams,
-                          const SpmtOptions& opts = {});
 
 }  // namespace tms::spmt

@@ -1,9 +1,10 @@
 // The event-vs-legacy simulator differential guarantee
-// (docs/SIMULATOR.md): both engines must produce bit-identical
-// SpmtStats, committed memory images, value fingerprints and traces on
-// randomized workloads — through squashes, write-buffer overflow, the
-// speculation-off ablation and the timing-only fast path — plus the
-// determinism contract of the parallel sweep driver and the
+// (docs/SIMULATOR.md): the event engine behind spmt::run_spmt and the
+// legacy stepper kept in tests/legacy_stepper.cpp must produce
+// bit-identical SpmtStats, committed memory images, value fingerprints
+// and traces on randomized workloads — through squashes, write-buffer
+// overflow, the speculation-off ablation and the timing-only fast path —
+// plus the determinism contract of the parallel sweep driver and the
 // quick_estimate fast path.
 #include <gtest/gtest.h>
 
@@ -13,6 +14,7 @@
 
 #include "codegen/kernel_program.hpp"
 #include "driver/sim_sweep.hpp"
+#include "legacy_stepper.hpp"
 #include "obs/counters.hpp"
 #include "sched/tms.hpp"
 #include "spmt/estimate.hpp"
@@ -71,8 +73,8 @@ void check_differential(const ir::Loop& loop, const codegen::KernelProgram& kp,
                         const machine::SpmtConfig& cfg, std::uint64_t stream_seed,
                         spmt::SpmtOptions opts, const std::string& what) {
   const spmt::AddressStreams streams = spmt::default_streams(loop, stream_seed);
-  const spmt::SpmtResult ev = spmt::run_spmt_event(loop, kp, cfg, streams, opts);
-  const spmt::SpmtResult lg = spmt::run_spmt_legacy(loop, kp, cfg, streams, opts);
+  const spmt::SpmtResult ev = spmt::run_spmt(loop, kp, cfg, streams, opts);
+  const spmt::SpmtResult lg = test::run_legacy_stepper(loop, kp, cfg, streams, opts);
   expect_results_identical(ev, lg, what);
 }
 
@@ -128,8 +130,8 @@ TEST(EventSim, SquashPathBitIdentical) {
   opts.iterations = 200;
   opts.collect_trace = true;
   const spmt::AddressStreams streams = spmt::default_streams(loop, 7);
-  const spmt::SpmtResult ev = spmt::run_spmt_event(loop, kp, cfg, streams, opts);
-  const spmt::SpmtResult lg = spmt::run_spmt_legacy(loop, kp, cfg, streams, opts);
+  const spmt::SpmtResult ev = spmt::run_spmt(loop, kp, cfg, streams, opts);
+  const spmt::SpmtResult lg = test::run_legacy_stepper(loop, kp, cfg, streams, opts);
   ASSERT_GT(ev.stats.misspeculations, 0) << "squash path was not exercised";
   expect_results_identical(ev, lg, "squashy");
 }
@@ -158,8 +160,8 @@ TEST(EventSim, WriteBufferOverflowBitIdentical) {
   opts.iterations = 64;
   opts.collect_trace = true;
   const spmt::AddressStreams streams = spmt::default_streams(loop, 5);
-  const spmt::SpmtResult ev = spmt::run_spmt_event(loop, kp, cfg, streams, opts);
-  const spmt::SpmtResult lg = spmt::run_spmt_legacy(loop, kp, cfg, streams, opts);
+  const spmt::SpmtResult ev = spmt::run_spmt(loop, kp, cfg, streams, opts);
+  const spmt::SpmtResult lg = test::run_legacy_stepper(loop, kp, cfg, streams, opts);
   ASSERT_GT(ev.stats.wb_overflow_waits, 0);
   expect_results_identical(ev, lg, "wb_overflow");
 }
@@ -199,13 +201,13 @@ TEST(EventSim, TimingOnlyModeMatchesValueModeStats) {
     timing.iterations = 120;
     timing.keep_memory = false;
     timing.collect_trace = true;
-    const spmt::SpmtResult ev = spmt::run_spmt_event(loop, kp, cfg, streams, timing);
-    const spmt::SpmtResult lg = spmt::run_spmt_legacy(loop, kp, cfg, streams, timing);
+    const spmt::SpmtResult ev = spmt::run_spmt(loop, kp, cfg, streams, timing);
+    const spmt::SpmtResult lg = test::run_legacy_stepper(loop, kp, cfg, streams, timing);
     expect_results_identical(ev, lg, "timing seed " + std::to_string(seed));
 
     spmt::SpmtOptions values = timing;
     values.keep_memory = true;
-    const spmt::SpmtResult full = spmt::run_spmt_event(loop, kp, cfg, streams, values);
+    const spmt::SpmtResult full = spmt::run_spmt(loop, kp, cfg, streams, values);
     expect_stats_equal(ev.stats, full.stats, "timing-vs-values seed " + std::to_string(seed));
   }
 }
@@ -239,7 +241,7 @@ spmt::SpmtResult run_event_counted(const ir::Loop& loop, const codegen::KernelPr
                                    const spmt::AddressStreams& streams,
                                    const spmt::SpmtOptions& opts, StoreHistory& hist) {
   const obs::CountersSnapshot before = obs::counters_snapshot();
-  spmt::SpmtResult r = spmt::run_spmt_event(loop, kp, cfg, streams, opts);
+  spmt::SpmtResult r = spmt::run_spmt(loop, kp, cfg, streams, opts);
   const obs::CountersSnapshot d = obs::snapshot_delta(before, obs::counters_snapshot());
   hist.inserted = d.value("sim.store_records");
   hist.folded = d.value("sim.store_records_folded");
@@ -280,7 +282,7 @@ std::int64_t check_long_run(const ir::Loop& loop, const codegen::KernelProgram& 
     opts.keep_memory = keep_memory;
     const std::string w = what + (keep_memory ? " values" : " timing");
     const spmt::SpmtResult ev = run_event_counted(loop, kp, cfg, streams, opts, at_10k);
-    const spmt::SpmtResult lg = spmt::run_spmt_legacy(loop, kp, cfg, streams, opts);
+    const spmt::SpmtResult lg = test::run_legacy_stepper(loop, kp, cfg, streams, opts);
     expect_results_identical(ev, lg, w);
     EXPECT_GT(at_10k.folded, 0u) << w;
     squashes = ev.stats.misspeculations;
@@ -373,7 +375,7 @@ TEST(EventSimLongRun, WriteAfterReadAcrossStagesMatchesReference) {
           opts.iterations = kIterations;
           StoreHistory hist;
           const spmt::SpmtResult ev = run_event_counted(loop, kp, cfg, streams, opts, hist);
-          const spmt::SpmtResult lg = spmt::run_spmt_legacy(loop, kp, cfg, streams, opts);
+          const spmt::SpmtResult lg = test::run_legacy_stepper(loop, kp, cfg, streams, opts);
           expect_results_identical(ev, lg, what);
           EXPECT_GT(hist.folded, 0u) << what;
           EXPECT_EQ(ev.value_fingerprint, ref.value_fingerprint) << what;
@@ -535,6 +537,57 @@ TEST(EventSim, EveryPolicyBitIdenticalAcrossEngines) {
   }
 }
 
+// The SpMT runs oracle_test makes on its randomized inputs
+// (check::run_differential_oracle: 64 iterations, stream seed 42, memory
+// image and trace on), on both engines. Bit identity here plus the
+// oracle passing on the event engine there holds the legacy stepper to
+// the sequential reference and the oracle's conservation laws.
+void check_oracle_inputs(const ir::Loop& loop, const machine::SpmtConfig& cfg,
+                         const std::string& what) {
+  const machine::MachineModel mach;
+  const auto tms = sched::tms_schedule(loop, mach, cfg);
+  ASSERT_TRUE(tms.has_value()) << what;
+  const codegen::KernelProgram kp = codegen::lower_kernel(tms->schedule, cfg);
+  spmt::SpmtOptions opts;
+  opts.iterations = 64;
+  opts.keep_memory = true;
+  opts.collect_trace = true;
+  check_differential(loop, kp, cfg, 42, opts, what);
+}
+
+// Oracle.RandomLoopsAcrossCoreCounts' inputs.
+TEST(EventSim, OracleRandomLoopsBitIdentical) {
+  for (std::uint64_t seed : {3u, 9u, 21u}) {
+    const ir::Loop loop = test::random_loop(seed);
+    for (int ncore : {2, 8}) {
+      machine::SpmtConfig cfg;
+      cfg.ncore = ncore;
+      check_oracle_inputs(loop, cfg,
+                          "seed " + std::to_string(seed) + " ncore " + std::to_string(ncore));
+    }
+  }
+}
+
+// Oracle.EveryPolicyHolds' inputs: every policy at ncore 8, bus on.
+TEST(EventSim, OraclePolicyLoopsBitIdentical) {
+  for (std::uint64_t seed : {3u, 21u}) {
+    const ir::Loop loop = test::random_loop(seed);
+    for (const machine::AllocPolicy pol :
+         {machine::AllocPolicy::kModulo, machine::AllocPolicy::kRoundRobinStride,
+          machine::AllocPolicy::kLocality, machine::AllocPolicy::kDepDistance}) {
+      machine::SpmtConfig cfg;
+      cfg.ncore = 8;
+      cfg.policy = pol;
+      cfg.policy_stride = 3;
+      cfg.policy_block = 2;
+      cfg.bus_bytes_per_transfer = 8;
+      check_oracle_inputs(loop, cfg,
+                          "seed " + std::to_string(seed) + " policy " +
+                              std::to_string(static_cast<int>(pol)));
+    }
+  }
+}
+
 // With the bus off, the modulo policy's relay pricing d_ker*(c_reg_com+0)
 // must leave every legacy stat untouched; bus_transfers is the pure
 // dataflow volume and bus_cycles stays zero.
@@ -623,6 +676,8 @@ TEST(GoldenStats, DefaultConfigReproducesPrePolicyBaseline) {
     return ir::Loop("missing");
   };
 
+  const std::pair<const char*, decltype(&spmt::run_spmt)> engines[] = {
+      {"event", spmt::run_spmt}, {"legacy", test::run_legacy_stepper}};
   machine::MachineModel mach;
   for (const Row& row : rows) {
     const ir::Loop loop = loop_by_name(row.name);
@@ -634,12 +689,10 @@ TEST(GoldenStats, DefaultConfigReproducesPrePolicyBaseline) {
     const spmt::AddressStreams streams = spmt::default_streams(loop, 42);
     spmt::SpmtOptions opts;
     opts.iterations = 400;
-    for (const spmt::SimEngine engine :
-         {spmt::SimEngine::kEventDriven, spmt::SimEngine::kLegacyStepper}) {
-      opts.engine = engine;
-      const spmt::SpmtResult r = spmt::run_spmt(loop, kp, cfg, streams, opts);
-      const std::string what = std::string(row.name) + " ncore " + std::to_string(row.ncore) +
-                               (engine == spmt::SimEngine::kEventDriven ? " event" : " legacy");
+    for (const auto& [engine, run] : engines) {
+      const spmt::SpmtResult r = run(loop, kp, cfg, streams, opts);
+      const std::string what =
+          std::string(row.name) + " ncore " + std::to_string(row.ncore) + " " + engine;
       EXPECT_EQ(r.stats.threads_committed, row.threads_committed) << what;
       EXPECT_EQ(r.stats.instances_executed, row.instances_executed) << what;
       EXPECT_EQ(r.stats.total_cycles, row.total_cycles) << what;

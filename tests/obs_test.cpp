@@ -721,18 +721,7 @@ TEST(Explain, RendersLadderTotalsHardestNodesAndResult) {
   in.events.push_back(attempt_event(4, 3, 0.1, false));
   in.events.push_back(reject_event(1, "p_max"));
   in.events.push_back(attempt_event(5, 6, 0.1, true));
-  {
-    obs::TraceEvent r;
-    r.cat = "sched";
-    r.name = "tms.result";
-    r.phase = 'i';
-    r.nargs = 4;
-    r.args[0] = obs::targ("ii", 5);
-    r.args[1] = obs::targ("c_delay", 2);
-    r.args[2] = obs::targ("p_max", 0.1);
-    r.args[3] = obs::targ("feasible", 1);
-    in.events.push_back(r);
-  }
+  in.result = obs::ExplainInput::Landing{5, 2, 0.1};
 
   const std::string out = obs::render_tms_explain(in);
   EXPECT_NE(out.find("tms explain: demo"), std::string::npos);
@@ -744,7 +733,35 @@ TEST(Explain, RendersLadderTotalsHardestNodesAndResult) {
   EXPECT_NE(out.find("c_delay=2"), std::string::npos);
   EXPECT_NE(out.find("2 threshold attempts"), std::string::npos);
   EXPECT_NE(out.find("mul"), std::string::npos);  // hardest node by name
-  EXPECT_NE(out.find("schedule found at II = 5 (MII+1)"), std::string::npos);
+  EXPECT_NE(out.find("schedule found at II = 5 (MII+1), C_delay = 2, p_max = 0.10"),
+            std::string::npos);
+  EXPECT_EQ(out.find("cut short"), std::string::npos);
+}
+
+// A full trace buffer keeps the oldest events, so a long ladder loses
+// its tail, tms.result included. The Result line still comes from the
+// input, and a line under the ladder says the ladder is partial.
+TEST(Explain, SaysWhenDroppedEventsCutTheLadderShort) {
+  obs::ExplainInput in;
+  in.loop_name = "long";
+  in.mii = 6;
+  in.events.push_back(attempt_event(6, 4, 0.01, false));
+  in.dropped_events = 9949021;
+  in.result = obs::ExplainInput::Landing{9, 65, 0.1};
+
+  const std::string out = obs::render_tms_explain(in);
+  EXPECT_NE(out.find("  C_delay <= 4   p_max = 0.01  ->  infeasible\n"
+                     "Ladder cut short: the trace buffer dropped 9949021 event(s), so the "
+                     "ladder and its totals are partial\n"
+                     "\nTotals: 1 threshold attempts"),
+            std::string::npos)
+      << out;
+  EXPECT_NE(out.find("\nResult: schedule found at II = 9 (MII+3), C_delay = 65, p_max = 0.10\n"),
+            std::string::npos)
+      << out;
+
+  in.result.reset();
+  EXPECT_NE(obs::render_tms_explain(in).find("Result: no feasible schedule"), std::string::npos);
 }
 
 TEST(Explain, RendersTheIiCutoffAsTheReasonTheSweepStopped) {
@@ -818,8 +835,10 @@ TEST(Explain, EmptyTraceSaysSo) {
   obs::ExplainInput in;
   in.loop_name = "empty";
   in.mii = 1;
+  in.result = obs::ExplainInput::Landing{1, 0, 0.01};
   const std::string out = obs::render_tms_explain(in);
   EXPECT_NE(out.find("no scheduling attempts recorded"), std::string::npos);
+  EXPECT_NE(out.find("Result: schedule found at II = 1 (MII+0)"), std::string::npos) << out;
 }
 
 }  // namespace

@@ -106,34 +106,11 @@ TEST(Oracle, RandomLoopsAcrossCoreCounts) {
   }
 }
 
-TEST(Oracle, RandomLoopsHoldOnLegacyEngine) {
-  // The oracle's invariants are engine-independent: the retained legacy
-  // walker must keep passing the same randomized suite the (default)
-  // event-driven engine runs, so the differential reference itself stays
-  // trustworthy (docs/SIMULATOR.md).
-  machine::MachineModel mach;
-  check::OracleOptions opts;
-  opts.iterations = 64;
-  opts.engine = spmt::SimEngine::kLegacyStepper;
-  for (std::uint64_t seed : {3u, 9u, 21u}) {
-    const ir::Loop loop = test::random_loop(seed);
-    for (int ncore : {2, 8}) {
-      machine::SpmtConfig cfg;
-      cfg.ncore = ncore;
-      const auto tms = sched::tms_schedule(loop, mach, cfg);
-      ASSERT_TRUE(tms.has_value()) << "seed " << seed;
-      const auto report = check::run_differential_oracle(loop, tms->schedule, cfg, opts);
-      EXPECT_TRUE(report.ok()) << "legacy seed " << seed << " ncore " << ncore << ":\n"
-                               << report.to_string();
-    }
-  }
-}
-
-TEST(Oracle, EveryPolicyHoldsOnBothEngines) {
+TEST(Oracle, EveryPolicyHolds) {
   // Semantics (memory image, fingerprint, stats conservation, trace
   // consistency against the policy's core map) are allocation-policy
   // independent: the oracle must pass under every policy, with the bus
-  // term on, on both engines.
+  // term on.
   machine::MachineModel mach;
   check::OracleOptions opts;
   opts.iterations = 64;
@@ -151,15 +128,9 @@ TEST(Oracle, EveryPolicyHoldsOnBothEngines) {
       cfg.bus_bytes_per_transfer = 8;
       const auto tms = sched::tms_schedule(loop, mach, cfg);
       ASSERT_TRUE(tms.has_value()) << "seed " << seed;
-      for (const spmt::SimEngine engine :
-           {spmt::SimEngine::kEventDriven, spmt::SimEngine::kLegacyStepper}) {
-        opts.engine = engine;
-        const auto report = check::run_differential_oracle(loop, tms->schedule, cfg, opts);
-        EXPECT_TRUE(report.ok())
-            << "seed " << seed << " policy " << static_cast<int>(pol) << " engine "
-            << static_cast<int>(engine) << ":\n"
-            << report.to_string();
-      }
+      const auto report = check::run_differential_oracle(loop, tms->schedule, cfg, opts);
+      EXPECT_TRUE(report.ok()) << "seed " << seed << " policy " << static_cast<int>(pol) << ":\n"
+                               << report.to_string();
     }
   }
 }

@@ -1,7 +1,8 @@
 // Router subsystem tests: consistent-hash ring stability and balance,
 // the PEEK peer-fill codec and its socket side channel, the in-process
 // LocalCluster end to end (verified schedules, peer-fill hit counting),
-// and health-driven ejection routing around a dead backend. The
+// health-driven ejection routing around a dead backend, and the
+// request_id echo on the errors the router makes itself. The
 // real-process version of the failover story (kill -9 under load) lives
 // in tests/router_smoke.sh.
 #include <gtest/gtest.h>
@@ -503,6 +504,38 @@ TEST_F(RouterSocketTest, EjectionRoutesAroundDeadBackend) {
   router.stop();
   server.drain();
   service.shutdown();
+}
+
+// The errors the router makes itself echo the client's request_id, as a
+// shard's answers do, so `tmsq --router` prints the router's message
+// instead of reporting a lost echo.
+TEST_F(RouterSocketTest, RouterMadeErrorsEchoTheRequestId) {
+  const machine::MachineModel mach;
+  router::RouterOptions ropts;
+  ropts.backends = {dir_ + "/dead.sock"};
+  ropts.probe_interval_ms = 0;
+  ropts.probe_timeout_ms = 200;
+  ropts.eject_after = 1;
+  router::Router router(mach, ropts);
+  ASSERT_FALSE(router.start().has_value());  // its probe sweep ejects the backend
+  EXPECT_EQ(router.healthy_count(), 0u);
+
+  serve::Request req;
+  req.id = 1;
+  req.request_id = "client-7";
+  req.scheduler = "tms";
+  req.loop = workloads::classic_kernels().front().loop;
+  const serve::Response no_backend = router.handle(req, "test");
+  EXPECT_FALSE(no_backend.ok);
+  EXPECT_EQ(no_backend.message, "no healthy backend for this key");
+  EXPECT_EQ(no_backend.request_id, "client-7");
+
+  router.begin_drain();
+  const serve::Response draining = router.handle(req, "test");
+  EXPECT_FALSE(draining.ok);
+  EXPECT_EQ(draining.message, "router is draining");
+  EXPECT_EQ(draining.request_id, "client-7");
+  router.stop();
 }
 
 // ---- CLUSTER_STATS aggregation -------------------------------------------

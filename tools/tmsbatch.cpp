@@ -192,10 +192,13 @@ int run_explain(const NamedLoop& nl, const machine::MachineModel& mach,
   }
   in.mii = result.has_value() ? result->mii : sched::min_ii(nl.loop, mach);
   if (result.has_value()) {
-    in.f_breakdown = cost::f_breakdown(result->schedule.ii(), result->schedule.c_delay(cfg),
+    const int c_delay = result->schedule.c_delay(cfg);
+    in.f_breakdown = cost::f_breakdown(result->schedule.ii(), c_delay,
                                        result->misspec_probability, cfg);
+    in.result = obs::ExplainInput::Landing{result->schedule.ii(), c_delay, result->p_max};
   }
   in.events = std::move(events);
+  in.dropped_events = obs::trace_dropped();
   std::printf("%s", obs::render_tms_explain(in).c_str());
   if (obs::trace_dropped() > 0) {
     std::fprintf(stderr, "warning: %llu trace event(s) dropped; re-run with a larger --trace-buf\n",

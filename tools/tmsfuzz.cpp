@@ -104,10 +104,10 @@ workloads::LoopShape fuzz_shape(std::uint64_t seed) {
 /// baseline with a seed-dependent core count, plus a slow-interconnect
 /// variant that stresses sync-delay and ring-backpressure paths. Both
 /// entries share a seed-dependent (or pinned, --policy NAME) allocation
-/// policy and shared-bus setting, so every policy × engine combination is
-/// swept by the validator and the differential oracle. Pure in (seed,
-/// policy_mode): the shrink predicate and the reporting pass rebuild the
-/// identical grid.
+/// policy and shared-bus setting, so every policy, with the bus on and
+/// off, is swept by the validator and the differential oracle. Pure in
+/// (seed, policy_mode): the shrink predicate and the reporting pass
+/// rebuild the identical grid.
 std::vector<machine::SpmtConfig> config_grid(std::uint64_t seed, const std::string& policy_mode) {
   support::Rng rng(seed ^ 0xC0FF1EULL);  // distinct stream from fuzz_shape
   machine::SpmtConfig base;
