@@ -1,15 +1,14 @@
 #include "driver/schedule_cache.hpp"
 
 #include <algorithm>
-#include <cinttypes>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
-#include <sstream>
 
 #include "ir/opcode.hpp"
 #include "ir/textio.hpp"
 #include "obs/counters.hpp"
+#include "support/line_codec.hpp"
 
 namespace tms::driver {
 
@@ -73,13 +72,54 @@ void append_config(std::string& out, const machine::SpmtConfig& c) {
   }
 }
 
-std::string hex_key(std::uint64_t key) {
-  char buf[17];
-  std::snprintf(buf, sizeof buf, "%016" PRIx64, key);
-  return buf;
-}
+constexpr std::string_view kFileBanner = "tmscache v1";
 
 }  // namespace
+
+void append_entry_text(std::string& out, const ScheduleCache::Entry& e) {
+  support::append_kv(out, "scheduler", e.scheduler);
+  support::append_kv(out, "ii", e.ii);
+  support::append_kv(out, "mii", e.mii);
+  support::append_kv(out, "c_delay_threshold", e.c_delay_threshold);
+  support::append_kv(out, "p_max", e.p_max);
+  support::append_kv(out, "slots", e.slots);
+  out += "end\n";
+}
+
+std::variant<ScheduleCache::Entry, std::string> parse_entry_text(std::string_view text,
+                                                                 std::size_t max_slots) {
+  ScheduleCache::Entry e;
+  bool have_end = false;
+  std::string_view line;
+  while (support::next_line(text, line)) {
+    if (line == "end") {
+      have_end = true;
+      break;
+    }
+    const auto [key, value] = support::split_kv(line);
+    bool ok = true;
+    if (key == "scheduler") {
+      ok = !value.empty();
+      e.scheduler = std::string(value);
+    } else if (key == "ii") {
+      ok = support::parse_number(value, e.ii);
+    } else if (key == "mii") {
+      ok = support::parse_number(value, e.mii);
+    } else if (key == "c_delay_threshold") {
+      ok = support::parse_number(value, e.c_delay_threshold);
+    } else if (key == "p_max") {
+      ok = support::parse_number(value, e.p_max);
+    } else if (key == "slots") {
+      ok = support::parse_slots(value, max_slots, e.slots);
+    } else {
+      return "unknown entry field '" + std::string(key) + "'";
+    }
+    if (!ok) return "bad " + std::string(key);
+  }
+  if (!have_end) return std::string("truncated entry");
+  if (e.scheduler.empty() || e.ii <= 0 || e.slots.empty()) return std::string("incomplete entry");
+  return e;
+}
 
 ScheduleCache::ScheduleCache(std::size_t capacity, std::string disk_dir,
                              std::uint64_t max_disk_bytes)
@@ -126,6 +166,31 @@ std::uint64_t ScheduleCache::fnv1a(std::string_view s) {
     h *= 0x100000001b3ULL;
   }
   return h;
+}
+
+std::string ScheduleCache::file_text(std::uint64_t key, const Entry& entry) {
+  std::string out(kFileBanner);
+  out += '\n';
+  support::append_kv(out, "key", support::hex16(key));
+  append_entry_text(out, entry);
+  return out;
+}
+
+std::optional<ScheduleCache::Entry> ScheduleCache::parse_file(std::string_view text,
+                                                              std::uint64_t key,
+                                                              int expect_instrs) {
+  std::string_view line;
+  if (!support::next_line(text, line) || line != kFileBanner) return std::nullopt;
+  if (!support::next_line(text, line)) return std::nullopt;
+  const support::KeyValue kv = support::split_kv(line);
+  std::uint64_t file_key = 0;
+  if (kv.key != "key" || !support::parse_hex16(kv.value, file_key) || file_key != key) {
+    return std::nullopt;
+  }
+  auto parsed = parse_entry_text(text, static_cast<std::size_t>(std::max(0, expect_instrs)));
+  auto* e = std::get_if<Entry>(&parsed);
+  if (e == nullptr || static_cast<int>(e->slots.size()) != expect_instrs) return std::nullopt;
+  return std::move(*e);
 }
 
 std::optional<ScheduleCache::Entry> ScheduleCache::lookup(std::uint64_t key, int expect_instrs) {
@@ -184,59 +249,23 @@ void ScheduleCache::insert(std::uint64_t key, const Entry& entry) {
 }
 
 std::string ScheduleCache::entry_path(std::uint64_t key) const {
-  return dir_ + "/" + hex_key(key) + ".tmscache";
+  return dir_ + "/" + support::hex16(key) + ".tmscache";
 }
 
 std::optional<ScheduleCache::Entry> ScheduleCache::load_from_disk(std::uint64_t key,
                                                                   int expect_instrs) {
-  std::ifstream in(entry_path(key));
+  std::ifstream in(entry_path(key), std::ios::binary);
   if (!in) return std::nullopt;  // absent: a plain miss, not a reject
 
-  const auto reject = [&]() -> std::optional<Entry> {
-    disk_rejects_.fetch_add(1, std::memory_order_relaxed);
-    return std::nullopt;
-  };
-
-  std::string magic, version;
-  if (!(in >> magic >> version) || magic != "tmscache" || version != "v1") return reject();
-
-  Entry e;
-  std::string field;
-  std::string file_key;
-  std::size_t nslots = 0;
-  bool have_slots = false;
-  bool have_end = false;
-  while (in >> field) {
-    if (field == "key") {
-      if (!(in >> file_key)) return reject();
-    } else if (field == "scheduler") {
-      if (!(in >> e.scheduler)) return reject();
-    } else if (field == "ii") {
-      if (!(in >> e.ii)) return reject();
-    } else if (field == "mii") {
-      if (!(in >> e.mii)) return reject();
-    } else if (field == "c_delay_threshold") {
-      if (!(in >> e.c_delay_threshold)) return reject();
-    } else if (field == "p_max") {
-      if (!(in >> e.p_max)) return reject();
-    } else if (field == "slots") {
-      if (!(in >> nslots)) return reject();
-      e.slots.resize(nslots);
-      for (std::size_t i = 0; i < nslots; ++i) {
-        if (!(in >> e.slots[i])) return reject();
-      }
-      have_slots = true;
-    } else if (field == "end") {
-      have_end = true;
-      break;
-    } else {
-      return reject();  // unknown field: corrupt or future-version file
-    }
-  }
-  if (!have_slots || !have_end) return reject();  // truncated
-  if (file_key != hex_key(key)) return reject();  // renamed/mismatched file
-  if (e.ii <= 0 || e.scheduler.empty()) return reject();
-  if (static_cast<int>(e.slots.size()) != expect_instrs) return reject();
+  // The fixed lines take under 4 KiB and a slot at most 12 bytes, so no
+  // file this loop can use is longer; reading stops there.
+  const std::size_t limit = 4096 + 12 * static_cast<std::size_t>(std::max(0, expect_instrs));
+  std::string text(limit + 1, '\0');
+  in.read(text.data(), static_cast<std::streamsize>(text.size()));
+  text.resize(static_cast<std::size_t>(in.gcount()));
+  std::optional<Entry> e;
+  if (text.size() <= limit) e = parse_file(text, key, expect_instrs);
+  if (!e.has_value()) disk_rejects_.fetch_add(1, std::memory_order_relaxed);
   return e;
 }
 
@@ -252,17 +281,7 @@ void ScheduleCache::store_to_disk(std::uint64_t key, const Entry& entry) {
   {
     std::ofstream out(tmp);
     if (!out) return;
-    out << "tmscache v1\n"
-        << "key " << hex_key(key) << '\n'
-        << "scheduler " << entry.scheduler << '\n'
-        << "ii " << entry.ii << '\n'
-        << "mii " << entry.mii << '\n'
-        << "c_delay_threshold " << entry.c_delay_threshold << '\n';
-    char pbuf[64];
-    std::snprintf(pbuf, sizeof pbuf, "%.17g", entry.p_max);
-    out << "p_max " << pbuf << '\n' << "slots " << entry.slots.size();
-    for (const int slot : entry.slots) out << ' ' << slot;
-    out << "\nend\n";
+    out << file_text(key, entry);
     if (!out) {
       out.close();
       fs::remove(tmp, ec);

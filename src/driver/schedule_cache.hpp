@@ -28,9 +28,13 @@
 // entry. Both tiers are bounded so a long-lived process (tmsd) cannot
 // grow without limit: the memory tier by entry count (LRU eviction), the
 // disk tier by total bytes (least-recently-written files are removed
-// after each write until the store fits again). Loads re-verify the embedded key and the slot count against the
-// loop being scheduled; any malformed, truncated, or mismatched file is
-// rejected (counted in stats().disk_rejects) and the caller recomputes.
+// after each write until the store fits again). A file is a
+// `tmscache v1` banner, a `key <16-hex>` line and the entry's text body
+// (append_entry_text, below), which the PEEK hit reply carries too.
+// Loads re-verify the embedded key and the slot count against the loop
+// being scheduled, refusing a count that differs before any slot is
+// allocated; any malformed, truncated, or mismatched file is rejected
+// (counted in stats().disk_rejects) and the caller recomputes.
 // Semantic corruption — a well-formed entry whose slots violate the
 // dependences — is caught one layer up: the batch driver re-validates
 // every reconstructed schedule and treats failures as misses.
@@ -45,6 +49,7 @@
 #include <string>
 #include <string_view>
 #include <unordered_map>
+#include <variant>
 #include <vector>
 
 #include "ir/loop.hpp"
@@ -102,6 +107,14 @@ class ScheduleCache {
   /// FNV-1a, 64-bit.
   static std::uint64_t fnv1a(std::string_view s);
 
+  /// The text of the `.tmscache` file holding `entry` under `key`.
+  static std::string file_text(std::uint64_t key, const Entry& entry);
+
+  /// The entry that file_text wrote, or nullopt when `text` is malformed,
+  /// names another key, or lists other than `expect_instrs` slots.
+  static std::optional<Entry> parse_file(std::string_view text, std::uint64_t key,
+                                         int expect_instrs);
+
   /// Memory first, then disk (inserting a disk hit into memory).
   /// `expect_instrs` guards reconstruction: an entry whose slot count
   /// differs (hash collision or stale file) is rejected.
@@ -151,5 +164,25 @@ class ScheduleCache {
   mutable std::atomic<std::uint64_t> disk_bytes_{0};
   std::atomic<std::uint64_t> tmp_counter_{0};
 };
+
+/// Appends the text body of `e`, the lines the `.tmscache` file and the
+/// PEEK hit reply both carry behind their own header lines:
+///
+///   scheduler <name>
+///   ii <int>
+///   mii <int>
+///   c_delay_threshold <int>
+///   p_max <%.17g>
+///   slots <count> <slot>...
+///   end
+void append_entry_text(std::string& out, const ScheduleCache::Entry& e);
+
+/// Reads a body append_entry_text wrote, in any line order, through its
+/// `end` line; what follows `end` is not read. Returns a one-line error
+/// unless every line parses and the entry is complete: a scheduler,
+/// ii > 0, and between 1 and `max_slots` slots, a bound checked before
+/// any slot is allocated.
+std::variant<ScheduleCache::Entry, std::string> parse_entry_text(std::string_view text,
+                                                                 std::size_t max_slots);
 
 }  // namespace tms::driver

@@ -1,23 +1,13 @@
 #include "obs/flight.hpp"
 
 #include <algorithm>
-#include <cstdio>
 #include <cstring>
 
 #include "obs/counters.hpp"
 #include "support/json.hpp"
+#include "support/line_codec.hpp"
 
 namespace tms::obs {
-
-namespace {
-
-std::string hex16(std::uint64_t v) {
-  char buf[17];
-  std::snprintf(buf, sizeof buf, "%016llx", static_cast<unsigned long long>(v));
-  return buf;
-}
-
-}  // namespace
 
 void flight_copy(char* dst, std::size_t dst_size, std::string_view s) {
   const std::size_t n = std::min(s.size(), dst_size - 1);
@@ -79,8 +69,8 @@ std::string flight_to_json(const FlightRecorder& recorder) {
     w.begin_object();
     w.member("seq", r.seq);
     if (r.trace_id != 0) {
-      w.member("trace_id", hex16(r.trace_id));
-      w.member("span_id", hex16(r.span_id));
+      w.member("trace_id", support::hex16(r.trace_id));
+      w.member("span_id", support::hex16(r.span_id));
     }
     w.member("request_id", r.request_id);
     w.member("loop", r.loop);

@@ -3,13 +3,13 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <cstdio>
 #include <mutex>
 #include <random>
 #include <unordered_set>
 
 #include "obs/counters.hpp"
 #include "support/json.hpp"
+#include "support/line_codec.hpp"
 
 namespace tms::obs {
 namespace {
@@ -75,12 +75,6 @@ TraceEvent* claim() {
   return e;
 }
 
-std::string hex16(std::uint64_t v) {
-  char buf[17];
-  std::snprintf(buf, sizeof buf, "%016llx", static_cast<unsigned long long>(v));
-  return buf;
-}
-
 void write_args_json(support::JsonWriter& w, const TraceEvent& e, bool with_ids) {
   w.key("args").begin_object();
   for (int i = 0; i < e.nargs; ++i) {
@@ -94,9 +88,9 @@ void write_args_json(support::JsonWriter& w, const TraceEvent& e, bool with_ids)
   // Distributed-trace identity, hex like the wire form. Only in the
   // Chrome export: minted ids would break canonical byte-identity.
   if (with_ids && e.trace_id != 0) {
-    w.member("trace_id", hex16(e.trace_id));
-    w.member("span_id", hex16(e.span_id));
-    if (e.parent_span_id != 0) w.member("parent_span_id", hex16(e.parent_span_id));
+    w.member("trace_id", support::hex16(e.trace_id));
+    w.member("span_id", support::hex16(e.span_id));
+    if (e.parent_span_id != 0) w.member("parent_span_id", support::hex16(e.parent_span_id));
   }
   w.end_object();
 }

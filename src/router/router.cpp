@@ -1,8 +1,6 @@
 #include "router/router.hpp"
 
 #include <algorithm>
-#include <cerrno>
-#include <cstdlib>
 #include <thread>
 #include <utility>
 
@@ -12,6 +10,7 @@
 #include "serve/message.hpp"
 #include "support/json.hpp"
 #include "support/json_parse.hpp"
+#include "support/parse.hpp"
 
 namespace tms::router {
 
@@ -27,15 +26,11 @@ std::int64_t us_since(Clock::time_point start) {
 /// socket path.
 bool split_tcp_address(const std::string& address, std::string& host, int& port) {
   if (address.find('/') != std::string::npos) return false;
-  const std::size_t colon = address.rfind(':');
-  if (colon == std::string::npos || colon == 0 || colon + 1 == address.size()) return false;
-  const std::string port_s = address.substr(colon + 1);
-  char* end = nullptr;
-  errno = 0;
-  const long p = std::strtol(port_s.c_str(), &end, 10);
-  if (errno != 0 || end != port_s.c_str() + port_s.size() || p < 1 || p > 65535) return false;
-  host = address.substr(0, colon);
-  port = static_cast<int>(p);
+  std::string h;
+  int p = 0;
+  if (!support::parse_host_port(address, h, p) || h.empty() || p < 1 || p > 65535) return false;
+  host = std::move(h);
+  port = p;
   return true;
 }
 

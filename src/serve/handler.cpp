@@ -1,12 +1,8 @@
 #include "serve/handler.hpp"
 
-#include <cerrno>
-#include <cstdio>
-#include <cstdlib>
-#include <sstream>
-
 #include "obs/counters.hpp"
 #include "support/json.hpp"
+#include "support/line_codec.hpp"
 
 namespace tms::serve {
 
@@ -14,78 +10,6 @@ namespace {
 
 constexpr std::string_view kPeekHeader = "tmsq-peek-v1";
 constexpr std::string_view kPeekReplyHeader = "tmsq-peek-reply-v1";
-
-bool next_line(std::string_view& rest, std::string_view& line) {
-  if (rest.empty()) return false;
-  const std::size_t nl = rest.find('\n');
-  if (nl == std::string_view::npos) {
-    line = rest;
-    rest = {};
-  } else {
-    line = rest.substr(0, nl);
-    rest = rest.substr(nl + 1);
-  }
-  return true;
-}
-
-void split_kv(std::string_view line, std::string_view& key, std::string_view& value) {
-  const std::size_t sp = line.find(' ');
-  if (sp == std::string_view::npos) {
-    key = line;
-    value = {};
-  } else {
-    key = line.substr(0, sp);
-    value = line.substr(sp + 1);
-  }
-}
-
-bool parse_hex_u64(std::string_view s, std::uint64_t& out) {
-  if (s.size() != 16) return false;
-  std::uint64_t v = 0;
-  for (const char c : s) {
-    int d;
-    if (c >= '0' && c <= '9') {
-      d = c - '0';
-    } else if (c >= 'a' && c <= 'f') {
-      d = c - 'a' + 10;
-    } else {
-      return false;
-    }
-    v = (v << 4) | static_cast<std::uint64_t>(d);
-  }
-  out = v;
-  return true;
-}
-
-bool parse_int(std::string_view s, int& out) {
-  if (s.empty()) return false;
-  const std::string tmp(s);
-  errno = 0;
-  char* end = nullptr;
-  const long v = std::strtol(tmp.c_str(), &end, 10);
-  if (errno != 0 || end != tmp.c_str() + tmp.size() || v < INT32_MIN || v > INT32_MAX) {
-    return false;
-  }
-  out = static_cast<int>(v);
-  return true;
-}
-
-bool parse_double(std::string_view s, double& out) {
-  if (s.empty()) return false;
-  const std::string tmp(s);
-  errno = 0;
-  char* end = nullptr;
-  const double v = std::strtod(tmp.c_str(), &end);
-  if (errno != 0 || end != tmp.c_str() + tmp.size()) return false;
-  out = v;
-  return true;
-}
-
-std::string hex16(std::uint64_t v) {
-  char buf[17];
-  std::snprintf(buf, sizeof buf, "%016llx", static_cast<unsigned long long>(v));
-  return buf;
-}
 
 }  // namespace
 
@@ -135,30 +59,29 @@ std::string Handler::flight_json() const {
 
 std::string serialise_peek(const PeekQuery& q) {
   std::string out(kPeekHeader);
-  out += "\nkey ";
-  out += hex16(q.key);
-  out += "\ninstrs ";
-  out += std::to_string(q.expect_instrs);
   out += '\n';
+  support::append_kv(out, "key", support::hex16(q.key));
+  support::append_kv(out, "instrs", q.expect_instrs);
   return out;
 }
 
 std::variant<PeekQuery, std::string> parse_peek(std::string_view payload) {
   std::string_view rest = payload;
   std::string_view line;
-  if (!next_line(rest, line) || line != kPeekHeader) return std::string("bad peek header");
+  if (!support::next_line(rest, line) || line != kPeekHeader) {
+    return std::string("bad peek header");
+  }
   PeekQuery q;
   bool have_key = false;
   bool have_instrs = false;
-  while (next_line(rest, line)) {
+  while (support::next_line(rest, line)) {
     if (line.empty()) continue;  // tolerate the trailing newline
-    std::string_view key, value;
-    split_kv(line, key, value);
+    const auto [key, value] = support::split_kv(line);
     if (key == "key") {
-      if (!parse_hex_u64(value, q.key)) return std::string("bad key");
+      if (!support::parse_hex16(value, q.key)) return std::string("bad key");
       have_key = true;
     } else if (key == "instrs") {
-      if (!parse_int(value, q.expect_instrs) || q.expect_instrs < 1) {
+      if (!support::parse_number(value, q.expect_instrs) || q.expect_instrs < 1) {
         return std::string("bad instrs");
       }
       have_instrs = true;
@@ -176,25 +99,8 @@ std::string serialise_peek_reply(const std::optional<driver::ScheduleCache::Entr
     out += "\nstatus miss\nend\n";
     return out;
   }
-  out += "\nstatus hit\nscheduler ";
-  out += entry->scheduler;
-  out += "\nii ";
-  out += std::to_string(entry->ii);
-  out += "\nmii ";
-  out += std::to_string(entry->mii);
-  out += "\nc_delay_threshold ";
-  out += std::to_string(entry->c_delay_threshold);
-  out += "\np_max ";
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%.17g", entry->p_max);
-  out += buf;
-  out += "\nslots ";
-  out += std::to_string(entry->slots.size());
-  for (const int s : entry->slots) {
-    out += ' ';
-    out += std::to_string(s);
-  }
-  out += "\nend\n";
+  out += "\nstatus hit\n";
+  driver::append_entry_text(out, *entry);
   return out;
 }
 
@@ -202,60 +108,19 @@ std::variant<std::optional<driver::ScheduleCache::Entry>, std::string> parse_pee
     std::string_view payload) {
   std::string_view rest = payload;
   std::string_view line;
-  if (!next_line(rest, line) || line != kPeekReplyHeader) {
+  if (!support::next_line(rest, line) || line != kPeekReplyHeader) {
     return std::string("bad peek-reply header");
   }
-  driver::ScheduleCache::Entry e;
-  bool hit = false;
-  bool have_status = false;
-  bool have_end = false;
-  while (next_line(rest, line)) {
-    if (line == "end") {
-      have_end = true;
-      break;
-    }
-    std::string_view key, value;
-    split_kv(line, key, value);
-    if (key == "status") {
-      if (value == "hit") {
-        hit = true;
-      } else if (value == "miss") {
-        hit = false;
-      } else {
-        return std::string("bad status");
-      }
-      have_status = true;
-    } else if (key == "scheduler") {
-      if (value.empty()) return std::string("bad scheduler");
-      e.scheduler = std::string(value);
-    } else if (key == "ii") {
-      if (!parse_int(value, e.ii)) return std::string("bad ii");
-    } else if (key == "mii") {
-      if (!parse_int(value, e.mii)) return std::string("bad mii");
-    } else if (key == "c_delay_threshold") {
-      if (!parse_int(value, e.c_delay_threshold)) return std::string("bad c_delay_threshold");
-    } else if (key == "p_max") {
-      if (!parse_double(value, e.p_max)) return std::string("bad p_max");
-    } else if (key == "slots") {
-      std::istringstream in{std::string(value)};
-      std::size_t n = 0;
-      if (!(in >> n) || n > (1u << 20)) return std::string("bad slots count");
-      e.slots.resize(n);
-      for (std::size_t i = 0; i < n; ++i) {
-        if (!(in >> e.slots[i])) return std::string("bad slots");
-      }
-      std::string trailing;
-      if (in >> trailing) return std::string("bad slots");
-    } else {
-      return "unknown peek-reply field '" + std::string(key) + "'";
-    }
+  if (!support::next_line(rest, line)) return std::string("truncated peek-reply");
+  if (line == "status miss") {
+    if (!support::next_line(rest, line) || line != "end") return std::string("bad miss reply");
+    return std::optional<driver::ScheduleCache::Entry>{};
   }
-  if (!have_status || !have_end) return std::string("truncated peek-reply");
-  if (!hit) return std::optional<driver::ScheduleCache::Entry>{};
-  if (e.ii <= 0 || e.scheduler.empty() || e.slots.empty()) {
-    return std::string("hit without a complete entry");
-  }
-  return std::optional<driver::ScheduleCache::Entry>{std::move(e)};
+  if (line != "status hit") return std::string("bad status");
+  auto entry = driver::parse_entry_text(rest, kMaxWireSlots);
+  if (auto* err = std::get_if<std::string>(&entry)) return std::move(*err);
+  return std::optional<driver::ScheduleCache::Entry>{
+      std::get<driver::ScheduleCache::Entry>(std::move(entry))};
 }
 
 }  // namespace tms::serve

@@ -4,7 +4,8 @@
 // .loop format and the .tmscache files: a versioned first line, `key
 // value` lines, and (for requests) a `loop` line after which the rest of
 // the payload is the ir::textio loop text. Parsing is strict — an
-// unknown key, a missing field, or trailing garbage is a parse error,
+// unknown key, a missing field, trailing garbage, or a number that
+// breaks support/line_codec's rule (`id +5`, `ii  6`) is a parse error,
 // never silently ignored — because the request parser faces the network
 // and is fuzz-tested alongside the frame parser.
 //
@@ -26,6 +27,10 @@
 #include "machine/spmt_config.hpp"
 
 namespace tms::serve {
+
+/// The most slots a response or PEEK hit reply may name; a larger count
+/// is refused before the list is read.
+constexpr std::size_t kMaxWireSlots = std::size_t{1} << 20;
 
 struct Request {
   std::uint64_t id = 0;            ///< client correlation id, echoed back

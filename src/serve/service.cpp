@@ -1,5 +1,6 @@
 #include "serve/service.hpp"
 
+#include <cstdio>
 #include <exception>
 #include <optional>
 #include <utility>
@@ -11,6 +12,7 @@
 #include "serve/client.hpp"
 #include "spmt/estimate.hpp"
 #include "support/json.hpp"
+#include "support/line_codec.hpp"
 
 namespace tms::serve {
 
@@ -24,12 +26,6 @@ double ms_since(Clock::time_point start) {
 
 std::int64_t us_since(Clock::time_point start) {
   return std::chrono::duration_cast<std::chrono::microseconds>(Clock::now() - start).count();
-}
-
-std::string hex16(std::uint64_t v) {
-  char buf[17];
-  std::snprintf(buf, sizeof buf, "%016llx", static_cast<unsigned long long>(v));
-  return buf;
 }
 
 }  // namespace
@@ -118,7 +114,7 @@ void CompileService::log_slow(const Request& req, const Response& resp, std::str
   w.member("request_id", resp.request_id);
   // Trace exemplar: the id that finds this request in a stitched
   // cluster trace or a flight-recorder dump.
-  if (resp.trace_id != 0) w.member("trace_id", hex16(resp.trace_id));
+  if (resp.trace_id != 0) w.member("trace_id", support::hex16(resp.trace_id));
   w.member("peer", peer.empty() ? std::string_view("?") : peer);
   w.member("scheduler", req.scheduler);
   w.member("loop", req.loop.name());

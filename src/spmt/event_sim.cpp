@@ -225,10 +225,11 @@ class EventEngine {
     for (const auto& ops : kp.reg_operands) {
       for (const auto& o : ops) max_dker = std::max(max_dker, o.d_ker);
     }
-    // Exactly the legacy ring size: slot contents that are never
-    // rewritten for a live instance keep whatever an aliased older
-    // instance left there, and the backpressure check can read such a
-    // slot — identical aliasing requires an identical ring.
+    // The legacy stepper's ring size. A slot that no live instance has
+    // rewritten keeps what an aliased older instance left there, and the
+    // backpressure check can read one, so the reference's size gives the
+    // reference's aliasing. No input is known on which another size of at
+    // least max + 1 diverges (docs/SIMULATOR.md); max + 0 does.
     ring_ = static_cast<std::int64_t>(std::max(max_dker, cfg.ring_queue_entries) + 2);
     const std::size_t wall_slots = ninstr * static_cast<std::size_t>(ring_);
     values_flat_.assign(wall_slots, 0);

@@ -1,4 +1,5 @@
-// Strict integer parsing for command-line flags and machine knobs.
+// Strict integer parsing for command-line flags, machine knobs and every
+// integer of the wire and cache-file text (support/line_codec.hpp).
 //
 // std::atoi and friends turn "abc" into 0 and "12x" into 12 without a
 // word; these helpers accept a value only when all of it is one base-10

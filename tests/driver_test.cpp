@@ -14,11 +14,13 @@
 #include <memory>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <numeric>
 #include <thread>
 #include <vector>
 
 #include "driver/batch.hpp"
+#include "driver/compile.hpp"
 #include "driver/job_pool.hpp"
 #include "driver/schedule_cache.hpp"
 #include "obs/trace.hpp"
@@ -221,10 +223,60 @@ TEST(ScheduleCache, DiskRoundTrip) {
   EXPECT_EQ(reader.stats().memory_hits, 1u);
 }
 
-std::string cache_file(const std::string& dir, std::uint64_t key) {
+std::string hex_key(std::uint64_t key) {
   char buf[17];
   std::snprintf(buf, sizeof buf, "%016llx", static_cast<unsigned long long>(key));
-  return dir + "/" + buf + ".tmscache";
+  return buf;
+}
+
+std::string cache_file(const std::string& dir, std::uint64_t key) {
+  return dir + "/" + hex_key(key) + ".tmscache";
+}
+
+/// A well-formed entry file for `key` except for its slots line, which
+/// names `count` slots and lists one.
+void write_entry_with_slot_count(const std::string& dir, std::uint64_t key,
+                                 const std::string& count) {
+  std::ofstream out(cache_file(dir, key));
+  out << "tmscache v1\nkey " << hex_key(key)
+      << "\nscheduler tms\nii 4\nmii 4\nc_delay_threshold 1\np_max 0.5\nslots " << count
+      << " 0\nend\n";
+}
+
+std::string read_text(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+}
+
+// The on-disk bytes, pinned: files written by one build are read by the
+// next, so a reordered or reformatted line is a compatibility break.
+TEST(ScheduleCache, DiskEntryFileIsPinned) {
+  ScratchDir dir("pinned");
+  driver::ScheduleCache::Entry tms_entry = make_entry(9, 3);
+  tms_entry.p_max = 0.1;
+  driver::ScheduleCache::Entry sms_entry;
+  sms_entry.scheduler = "sms";
+  sms_entry.ii = 12;
+  sms_entry.mii = 11;
+  sms_entry.slots = {0, 3, 12, 27};
+  {
+    driver::ScheduleCache writer(64, dir.path());
+    writer.insert(42, tms_entry);
+    writer.insert(0xfedcba9876543210ULL, sms_entry);
+  }
+  EXPECT_EQ(read_text(cache_file(dir.path(), 42)),
+            "tmscache v1\n"
+            "key 000000000000002a\n"
+            "scheduler tms\n"
+            "ii 9\n"
+            "mii 9\n"
+            "c_delay_threshold 5\n"
+            "p_max 0.10000000000000001\n"
+            "slots 3 0 1 2\n"
+            "end\n");
+  EXPECT_EQ(read_text(cache_file(dir.path(), 0xfedcba9876543210ULL)),
+            "tmscache v1\nkey fedcba9876543210\nscheduler sms\nii 12\nmii 11\n"
+            "c_delay_threshold -1\np_max -1\nslots 4 0 3 12 27\nend\n");
 }
 
 TEST(ScheduleCache, CorruptDiskEntriesAreRejected) {
@@ -238,11 +290,48 @@ TEST(ScheduleCache, CorruptDiskEntriesAreRejected) {
     std::ofstream out(cache_file(dir.path(), 8));
     out << "tmscache v1\nkey 0000000000000008\nscheduler tms\nii 4\n";
   }
+  // Slot counts that disagree with the loop: -1 (which an istream reads
+  // as SIZE_MAX), SIZE_MAX itself, and one that fits in memory but would
+  // cost 800 MB, each refused before a slot is allocated; and a
+  // well-formed list one slot short of the loop.
+  const std::vector<std::string> counts = {"-1", "18446744073709551615", "200000000", "1"};
+  for (std::size_t i = 0; i < counts.size(); ++i) {
+    write_entry_with_slot_count(dir.path(), 9 + i, counts[i]);
+  }
   driver::ScheduleCache cache(64, dir.path());
   EXPECT_FALSE(cache.lookup(7, 2).has_value());
   EXPECT_FALSE(cache.lookup(8, 2).has_value());
-  EXPECT_EQ(cache.stats().disk_rejects, 2u);
-  EXPECT_EQ(cache.stats().misses, 2u);
+  for (std::size_t i = 0; i < counts.size(); ++i) {
+    EXPECT_FALSE(cache.lookup(9 + i, 2).has_value()) << "slots " << counts[i];
+  }
+  EXPECT_EQ(cache.stats().disk_rejects, 2u + counts.size());
+  EXPECT_EQ(cache.stats().misses, 2u + counts.size());
+}
+
+// A file whose slot count disagrees with the loop is a miss like any
+// other corrupt file: the compile pipeline schedules afresh and the
+// insert replaces the file.
+TEST(ScheduleCache, CompileRewritesAFileWithAWrongSlotCount) {
+  const machine::MachineModel mach;
+  const machine::SpmtConfig cfg;
+  const ir::Loop loop = test::tiny_recurrence();
+  ScratchDir dir("slotcount");
+  const std::uint64_t key = driver::ScheduleCache::key(loop, mach, cfg, "tms");
+  write_entry_with_slot_count(dir.path(), key, "-1");
+
+  driver::ScheduleCache cache(64, dir.path());
+  const driver::CompileResult r = driver::compile({loop, mach, cfg, "tms", &cache}, true);
+  ASSERT_EQ(r.status, driver::CompileStatus::kOk) << r.detail;
+  EXPECT_FALSE(r.cache_hit);
+  EXPECT_EQ(cache.stats().disk_rejects, 1u);
+
+  std::string slots_line = "slots " + std::to_string(loop.num_instrs());
+  for (int v = 0; v < loop.num_instrs(); ++v) {
+    slots_line += ' ' + std::to_string(r.compiled->schedule.slot(v));
+  }
+  EXPECT_NE(read_text(cache_file(dir.path(), key)).find('\n' + slots_line + '\n'),
+            std::string::npos)
+      << read_text(cache_file(dir.path(), key));
 }
 
 TEST(ScheduleCache, RenamedDiskEntryIsRejected) {

@@ -185,6 +185,45 @@ TEST(PeekCodec, ReplyRoundTripMiss) {
   EXPECT_FALSE(opt->has_value());
 }
 
+// The bytes every shard writes and every sibling reads: a codec change
+// that reorders or reformats a line must show up here, not only as a
+// round-trip that still agrees with itself.
+TEST(PeekCodec, QueryAndRepliesSerialiseToPinnedBytes) {
+  serve::PeekQuery q;
+  q.key = 0x0123456789abcdefull;
+  q.expect_instrs = 17;
+  EXPECT_EQ(serve::serialise_peek(q), "tmsq-peek-v1\nkey 0123456789abcdef\ninstrs 17\n");
+
+  driver::ScheduleCache::Entry e;
+  e.scheduler = "tms";
+  e.ii = 7;
+  e.mii = 5;
+  e.c_delay_threshold = 3;
+  e.p_max = 0.1;
+  e.slots = {0, 1, 2, 5, 9};
+  EXPECT_EQ(serve::serialise_peek_reply(e),
+            "tmsq-peek-reply-v1\n"
+            "status hit\n"
+            "scheduler tms\n"
+            "ii 7\n"
+            "mii 5\n"
+            "c_delay_threshold 3\n"
+            "p_max 0.10000000000000001\n"
+            "slots 5 0 1 2 5 9\n"
+            "end\n");
+
+  e.scheduler = "sms";
+  e.c_delay_threshold = -1;
+  e.p_max = -1.0;
+  e.slots = {4};
+  EXPECT_EQ(serve::serialise_peek_reply(e),
+            "tmsq-peek-reply-v1\nstatus hit\nscheduler sms\nii 7\nmii 5\n"
+            "c_delay_threshold -1\np_max -1\nslots 1 4\nend\n");
+
+  EXPECT_EQ(serve::serialise_peek_reply(std::nullopt),
+            "tmsq-peek-reply-v1\nstatus miss\nend\n");
+}
+
 TEST(PeekCodec, MalformedProbeGetsWellFormedMissFromService) {
   const machine::MachineModel mach;
   driver::ScheduleCache cache(64);

@@ -262,6 +262,11 @@ TEST(Message, RequestRoundTripPreservesEveryField) {
 
 TEST(Message, RequestParserIsStrict) {
   const std::string good = serve::serialise_request(chain_request());
+  const auto with = [&good](std::string_view from, std::string_view to) {
+    std::string s = good;
+    s.replace(s.find(from), from.size(), to);
+    return s;
+  };
   const std::vector<std::string> bad = {
       "",                                       // empty
       "bogus v1\n",                             // wrong banner
@@ -270,6 +275,8 @@ TEST(Message, RequestParserIsStrict) {
       "tmsq-request v1\nid 1\n",                // missing loop
       "tmsq-request v1\nid notanumber\nloop\nloop l\ninstr a iadd\n",
       good + "trailing garbage\n",              // bytes after the loop text
+      with("\nid 1\n", "\nid +1\n"),              // a '+' sign: integers are digits only
+      with("\nncore 4\n", "\nncore  4\n"),        // a second space before the value
   };
   for (const std::string& payload : bad) {
     const auto parsed = serve::parse_request(payload);
@@ -330,12 +337,68 @@ TEST(Message, ResponseParserIsStrict) {
       "tmsq-response v1\nstatus maybe\n",              // unknown status
       "tmsq-response v1\nstatus error\ncode wat\nmessage x\n",  // unknown code
       "tmsq-response v1\nstatus ok\nii 0\nmii 1\nslots 0\n",    // nonpositive ii
+      "tmsq-response v1\nid +1\nstatus error\ncode parse\nmessage x\nend\n",  // '+' sign
+      "tmsq-response v1\nstatus ok\nscheduler tms\nii  6\nmii 5\nslots 1 0\nend\n",  // 2 spaces
   };
   for (const std::string& payload : bad) {
     const auto parsed = serve::parse_response(payload);
     EXPECT_NE(std::get_if<std::string>(&parsed), nullptr)
         << "must reject: " << payload.substr(0, 50);
   }
+}
+
+// Round-trips only prove the parser agrees with the serialiser; these
+// pin the bytes themselves, line order and number forms included.
+TEST(Message, ResponsesSerialiseToPinnedBytes) {
+  serve::Response ok;
+  ok.id = 42;
+  ok.request_id = "rq-42";
+  ok.trace_id = 0x0123456789abcdefULL;
+  ok.span_id = 0xffULL;
+  ok.ok = true;
+  ok.scheduler = "tms";
+  ok.cache_hit = true;
+  ok.ii = 6;
+  ok.mii = 5;
+  ok.c_delay_threshold = 3;
+  ok.p_max = 0.1;
+  ok.server_ms = 1.5;
+  ok.t_queue_us = 11;
+  ok.t_schedule_us = 22;
+  ok.t_validate_us = 3;
+  ok.t_total_us = 40;
+  ok.slots = {0, 2, 5, 7};
+  EXPECT_EQ(serve::serialise_response(ok),
+            "tmsq-response v1\n"
+            "id 42\n"
+            "request_id rq-42\n"
+            "trace_id 0123456789abcdef\n"
+            "span_id 00000000000000ff\n"
+            "status ok\n"
+            "scheduler tms\n"
+            "cache_hit 1\n"
+            "ii 6\n"
+            "mii 5\n"
+            "c_delay_threshold 3\n"
+            "p_max 0.10000000000000001\n"
+            "server_ms 1.5\n"
+            "t_queue_us 11\n"
+            "t_schedule_us 22\n"
+            "t_validate_us 3\n"
+            "t_total_us 40\n"
+            "slots 4 0 2 5 7\n"
+            "end\n");
+
+  const serve::Response err =
+      serve::make_error(7, serve::ErrorCode::kOverload, "queue full\nsecond line", 250);
+  EXPECT_EQ(serve::serialise_response(err),
+            "tmsq-response v1\n"
+            "id 7\n"
+            "status error\n"
+            "code overload\n"
+            "retry_after_ms 250\n"
+            "message queue full second line\n"
+            "end\n");
 }
 
 TEST(Message, ErrorCodeStringsRoundTrip) {

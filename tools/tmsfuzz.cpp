@@ -31,10 +31,12 @@
 //                              scheduling window) to prove the validator
 //                              catches real scheduler bugs end to end
 //           [--frames]         fuzz the tmsd wire-protocol parsers
-//                              (serve/frame, serve/message) instead of the
-//                              scheduling pipeline: random noise, split
-//                              feeds, byte mutations, and round-trip
-//                              fixpoints, driven by --seeds/--start-seed
+//                              (serve/frame, serve/message, the PEEK
+//                              codec) and the .tmscache file reader
+//                              instead of the scheduling pipeline: random
+//                              noise, split feeds, byte and field-value
+//                              mutations, and round-trip fixpoints,
+//                              driven by --seeds/--start-seed
 //           [--verbose]        per-run progress
 //
 // Exit status: 0 when every run is clean, 1 when any failure was found
@@ -42,6 +44,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <exception>
 #include <fstream>
 #include <optional>
 #include <string>
@@ -59,6 +62,7 @@
 #include "serve/handler.hpp"
 #include "serve/message.hpp"
 #include "support/assert.hpp"
+#include "support/line_codec.hpp"
 #include "support/parse.hpp"
 #include "support/rng.hpp"
 #include "workloads/builder.hpp"
@@ -252,6 +256,32 @@ std::string random_bytes(support::Rng& rng, std::size_t n) {
   std::string s(n, '\0');
   for (char& c : s) c = static_cast<char>(rng.bounded(256));
   return s;
+}
+
+/// `text` with the value of one of its `key value` lines replaced by a
+/// token a hostile or broken peer might send: 2^64-1, -1, a count over
+/// the wire cap, a '+' sign, nothing, a 16-hex word, or a well-formed
+/// slot list of another length. On a `slots` line the token replaces
+/// either the whole value or the count alone.
+std::string mutate_one_value(std::string_view text, support::Rng& rng) {
+  static const std::vector<std::string> kTokens = {
+      "18446744073709551615", "-1", std::to_string(serve::kMaxWireSlots * 2), "+3", "",
+      "0123456789abcdef",     "2 0 1"};
+  std::vector<std::string> lines;
+  std::vector<std::size_t> victims;
+  std::string_view line;
+  while (support::next_line(text, line)) {
+    if (line.find(' ') != std::string_view::npos) victims.push_back(lines.size());
+    lines.emplace_back(line);
+  }
+  std::string& victim = lines[rng.pick(victims)];
+  const std::size_t from = victim.find(' ') + 1;
+  const bool count_only = victim.compare(0, from, "slots ") == 0 && rng.chance(0.5);
+  victim.replace(from, count_only ? victim.find(' ', from) - from : std::string::npos,
+                 rng.pick(kTokens));
+  std::string out;
+  for (const std::string& l : lines) out += l + '\n';
+  return out;
 }
 
 /// One seed's worth of wire-protocol fuzzing. Returns a failure
@@ -455,6 +485,48 @@ std::optional<std::string> run_frames_one(std::uint64_t seed) {
     if (const auto* hit = std::get_if<std::optional<driver::ScheduleCache::Entry>>(&noisy_reply);
         hit != nullptr && hit->has_value()) {
       return std::string("noise fabricated a peek hit");
+    }
+  }
+
+  // Property 8: the cache-entry text, as a PEEK hit reply and as a
+  // .tmscache file, round-trips; with one field's value replaced by a
+  // hostile token, neither reader throws, a PEEK hit never names more
+  // slots than the wire cap, and the file never yields an entry whose
+  // slot count is not the loop's.
+  {
+    driver::ScheduleCache::Entry e;
+    e.scheduler = "tms";
+    e.ii = 1 + static_cast<int>(rng.bounded(64));
+    e.mii = 1 + static_cast<int>(rng.bounded(e.ii));
+    e.c_delay_threshold = static_cast<int>(rng.bounded(20)) - 1;
+    e.p_max = rng.uniform(0.0, 1.0);
+    const int n = 1 + static_cast<int>(rng.bounded(64));
+    for (int i = 0; i < n; ++i) e.slots.push_back(static_cast<int>(rng.bounded(256)));
+    const std::uint64_t key = rng.fork_seed();
+    const std::string reply = serve::serialise_peek_reply(e);
+    const std::string file = driver::ScheduleCache::file_text(key, e);
+    const auto back = driver::ScheduleCache::parse_file(file, key, n);
+    if (!back.has_value() || back->slots != e.slots || back->ii != e.ii ||
+        back->p_max != e.p_max || driver::ScheduleCache::file_text(key, *back) != file) {
+      return std::string("cache file did not round-trip");
+    }
+    if (driver::ScheduleCache::parse_file(file, key, n + 1).has_value()) {
+      return std::string("cache file accepted for a loop of another size");
+    }
+    for (int round = 0; round < 8; ++round) {
+      try {
+        auto got = serve::parse_peek_reply(mutate_one_value(reply, rng));
+        if (const auto* hit = std::get_if<std::optional<driver::ScheduleCache::Entry>>(&got);
+            hit != nullptr && hit->has_value() && (*hit)->slots.size() > serve::kMaxWireSlots) {
+          return std::string("mutated peek reply named more slots than the wire cap");
+        }
+        const auto disk = driver::ScheduleCache::parse_file(mutate_one_value(file, rng), key, n);
+        if (disk.has_value() && static_cast<int>(disk->slots.size()) != n) {
+          return std::string("mutated cache file yielded a slot count other than the loop's");
+        }
+      } catch (const std::exception& ex) {
+        return std::string("mutated cache-entry text threw: ") + ex.what();
+      }
     }
   }
   return std::nullopt;

@@ -56,6 +56,7 @@
 #include "sched/schedule.hpp"
 #include "serve/client.hpp"
 #include "support/json.hpp"
+#include "support/line_codec.hpp"
 #include "support/parse.hpp"
 #include "viz/render.hpp"
 
@@ -75,12 +76,6 @@ int usage(const char* argv0) {
   return 2;
 }
 
-std::string hex16(std::uint64_t v) {
-  char buf[17];
-  std::snprintf(buf, sizeof buf, "%016llx", static_cast<unsigned long long>(v));
-  return buf;
-}
-
 /// Best-effort: a failure to write the summary warns but never changes
 /// the exit code (the contract scripts dispatch on).
 void write_trace_summary(const std::string& path, const tms::serve::Request& req,
@@ -88,8 +83,8 @@ void write_trace_summary(const std::string& path, const tms::serve::Request& req
   tms::support::JsonWriter w;
   w.begin_object();
   w.member("schema", "tmsq-trace-v1");
-  w.member("trace_id", hex16(req.trace_id));
-  w.member("span_id", hex16(resp.span_id));
+  w.member("trace_id", tms::support::hex16(req.trace_id));
+  w.member("span_id", tms::support::hex16(resp.span_id));
   w.member("request_id", resp.request_id);
   w.member("ok", resp.ok);
   if (!resp.ok) w.member("code", std::string(tms::serve::to_string(resp.code)));
