@@ -102,13 +102,13 @@ std::variant<ScheduleCache::Entry, std::string> parse_entry_text(std::string_vie
       ok = !value.empty();
       e.scheduler = std::string(value);
     } else if (key == "ii") {
-      ok = support::parse_number(value, e.ii);
+      ok = support::parse_int(value, e.ii);
     } else if (key == "mii") {
-      ok = support::parse_number(value, e.mii);
+      ok = support::parse_int(value, e.mii);
     } else if (key == "c_delay_threshold") {
-      ok = support::parse_number(value, e.c_delay_threshold);
+      ok = support::parse_int(value, e.c_delay_threshold);
     } else if (key == "p_max") {
-      ok = support::parse_number(value, e.p_max);
+      ok = support::parse_double(value, e.p_max);
     } else if (key == "slots") {
       ok = support::parse_slots(value, max_slots, e.slots);
     } else {
@@ -254,17 +254,20 @@ std::string ScheduleCache::entry_path(std::uint64_t key) const {
 
 std::optional<ScheduleCache::Entry> ScheduleCache::load_from_disk(std::uint64_t key,
                                                                   int expect_instrs) {
-  std::ifstream in(entry_path(key), std::ios::binary);
+  std::ifstream in(entry_path(key), std::ios::binary | std::ios::ate);
   if (!in) return std::nullopt;  // absent: a plain miss, not a reject
 
-  // The fixed lines take under 4 KiB and a slot at most 12 bytes, so no
-  // file this loop can use is longer; reading stops there.
+  // The buffer is sized from the file opened, never from the caller's
+  // count. The fixed lines take under 4 KiB and a slot at most 12 bytes,
+  // so a file longer than that is refused unread.
+  const std::streamoff size = in.tellg();
   const std::size_t limit = 4096 + 12 * static_cast<std::size_t>(std::max(0, expect_instrs));
-  std::string text(limit + 1, '\0');
-  in.read(text.data(), static_cast<std::streamsize>(text.size()));
-  text.resize(static_cast<std::size_t>(in.gcount()));
   std::optional<Entry> e;
-  if (text.size() <= limit) e = parse_file(text, key, expect_instrs);
+  if (size >= 0 && static_cast<std::uint64_t>(size) <= limit) {
+    std::string text(static_cast<std::size_t>(size), '\0');
+    in.seekg(0);
+    if (in.read(text.data(), size)) e = parse_file(text, key, expect_instrs);
+  }
   if (!e.has_value()) disk_rejects_.fetch_add(1, std::memory_order_relaxed);
   return e;
 }

@@ -32,9 +32,10 @@
 // `tmscache v1` banner, a `key <16-hex>` line and the entry's text body
 // (append_entry_text, below), which the PEEK hit reply carries too.
 // Loads re-verify the embedded key and the slot count against the loop
-// being scheduled, refusing a count that differs before any slot is
-// allocated; any malformed, truncated, or mismatched file is rejected
-// (counted in stats().disk_rejects) and the caller recomputes.
+// being scheduled. A count above the loop's is refused before any slot
+// is allocated, and no file longer than the loop could use is read; any
+// malformed, truncated, or mismatched file is rejected (counted in
+// stats().disk_rejects) and the caller recomputes.
 // Semantic corruption — a well-formed entry whose slots violate the
 // dependences — is caught one layer up: the batch driver re-validates
 // every reconstructed schedule and treats failures as misses.

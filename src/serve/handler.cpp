@@ -81,7 +81,9 @@ std::variant<PeekQuery, std::string> parse_peek(std::string_view payload) {
       if (!support::parse_hex16(value, q.key)) return std::string("bad key");
       have_key = true;
     } else if (key == "instrs") {
-      if (!support::parse_number(value, q.expect_instrs) || q.expect_instrs < 1) {
+      // Capped like the reply's slot list, which could not carry more.
+      if (!support::parse_int(value, q.expect_instrs) || q.expect_instrs < 1 ||
+          static_cast<std::size_t>(q.expect_instrs) > kMaxWireSlots) {
         return std::string("bad instrs");
       }
       have_instrs = true;

@@ -71,7 +71,7 @@ class Handler {
 
 struct PeekQuery {
   std::uint64_t key = 0;
-  int expect_instrs = 0;
+  int expect_instrs = 0;  ///< parse_peek takes 1 to kMaxWireSlots
 };
 
 std::string serialise_peek(const PeekQuery& q);

@@ -7,7 +7,8 @@
 namespace tms::serve {
 
 using support::append_kv;
-using support::parse_number;
+using support::parse_double;
+using support::parse_int;
 
 namespace {
 
@@ -141,7 +142,7 @@ std::variant<Request, std::string> parse_request(std::string_view payload, Error
     // every caller.
     bool ok = true;
     if (key == "id") {
-      ok = parse_number(value, req.id);
+      ok = parse_int(value, req.id);
     } else if (key == "request_id") {
       ok = valid_request_id(value);
       req.request_id = std::string(value);
@@ -149,19 +150,19 @@ std::variant<Request, std::string> parse_request(std::string_view payload, Error
       ok = !value.empty();
       req.scheduler = std::string(value);
     } else if (key == "ncore") {
-      ok = parse_number(value, req.ncore);
+      ok = parse_int(value, req.ncore);
     } else if (key == "deadline_ms") {
-      ok = parse_number(value, req.deadline_ms);
+      ok = parse_int(value, req.deadline_ms);
     } else if (key == "policy") {
       ok = policy::policy_from_string(value, req.policy);
     } else if (key == "policy_stride") {
-      ok = parse_number(value, req.policy_stride);
+      ok = parse_int(value, req.policy_stride);
     } else if (key == "policy_block") {
-      ok = parse_number(value, req.policy_block);
+      ok = parse_int(value, req.policy_block);
     } else if (key == "bus_bytes_per_transfer") {
-      ok = parse_number(value, req.bus_bytes_per_transfer);
+      ok = parse_int(value, req.bus_bytes_per_transfer);
     } else if (key == "bus_bytes_per_cycle") {
-      ok = parse_number(value, req.bus_bytes_per_cycle);
+      ok = parse_int(value, req.bus_bytes_per_cycle);
     } else if (key == "trace_id") {
       ok = support::parse_hex16(value, req.trace_id);
     } else if (key == "parent_span_id") {
@@ -235,7 +236,7 @@ std::variant<Response, std::string> parse_response(std::string_view payload) {
     const auto [key, value] = support::split_kv(line);
     bool ok = true;
     if (key == "id") {
-      ok = parse_number(value, resp.id);
+      ok = parse_int(value, resp.id);
     } else if (key == "request_id") {
       ok = valid_request_id(value);
       resp.request_id = std::string(value);
@@ -246,7 +247,7 @@ std::variant<Response, std::string> parse_response(std::string_view payload) {
     } else if (key == "code") {
       ok = error_code_from_string(value, resp.code);
     } else if (key == "retry_after_ms") {
-      ok = parse_number(value, resp.retry_after_ms);
+      ok = parse_int(value, resp.retry_after_ms);
     } else if (key == "message") {
       resp.message = std::string(value);
     } else if (key == "scheduler") {
@@ -255,23 +256,23 @@ std::variant<Response, std::string> parse_response(std::string_view payload) {
       ok = value == "1" || value == "0";
       resp.cache_hit = value == "1";
     } else if (key == "ii") {
-      ok = parse_number(value, resp.ii);
+      ok = parse_int(value, resp.ii);
     } else if (key == "mii") {
-      ok = parse_number(value, resp.mii);
+      ok = parse_int(value, resp.mii);
     } else if (key == "c_delay_threshold") {
-      ok = parse_number(value, resp.c_delay_threshold);
+      ok = parse_int(value, resp.c_delay_threshold);
     } else if (key == "p_max") {
-      ok = parse_number(value, resp.p_max);
+      ok = parse_double(value, resp.p_max);
     } else if (key == "server_ms") {
-      ok = parse_number(value, resp.server_ms);
+      ok = parse_double(value, resp.server_ms);
     } else if (key == "t_queue_us") {
-      ok = parse_number(value, resp.t_queue_us);
+      ok = parse_int(value, resp.t_queue_us);
     } else if (key == "t_schedule_us") {
-      ok = parse_number(value, resp.t_schedule_us);
+      ok = parse_int(value, resp.t_schedule_us);
     } else if (key == "t_validate_us") {
-      ok = parse_number(value, resp.t_validate_us);
+      ok = parse_int(value, resp.t_validate_us);
     } else if (key == "t_total_us") {
-      ok = parse_number(value, resp.t_total_us);
+      ok = parse_int(value, resp.t_total_us);
     } else if (key == "trace_id") {
       ok = support::parse_hex16(value, resp.trace_id);
     } else if (key == "span_id") {

@@ -28,8 +28,9 @@
 
 namespace tms::serve {
 
-/// The most slots a response or PEEK hit reply may name; a larger count
-/// is refused before the list is read.
+/// The most slots a response or PEEK hit reply may name, and so the
+/// most instructions a PEEK query may; a larger count is refused before
+/// the list is read.
 constexpr std::size_t kMaxWireSlots = std::size_t{1} << 20;
 
 struct Request {

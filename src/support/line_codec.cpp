@@ -66,7 +66,7 @@ bool parse_hex16(std::string_view s, std::uint64_t& out) {
   return true;
 }
 
-bool parse_number(std::string_view s, double& out) {
+bool parse_double(std::string_view s, double& out) {
   double v = 0.0;
   const char* last = s.data() + s.size();
   const auto [end, ec] = std::from_chars(s.data(), last, v);
@@ -78,14 +78,14 @@ bool parse_number(std::string_view s, double& out) {
 bool parse_slots(std::string_view s, std::size_t max_count, std::vector<int>& out) {
   std::size_t sp = s.find(' ');
   std::size_t n = 0;
-  if (!parse_number(s.substr(0, sp), n) || n > max_count) return false;
+  if (!parse_int(s.substr(0, sp), n) || n > max_count) return false;
   std::vector<int> slots;
   slots.reserve(std::min(n, s.size() / 2));  // each slot costs at least " d"
   while (sp != std::string_view::npos) {
     s.remove_prefix(sp + 1);
     sp = s.find(' ');
     int slot = 0;
-    if (!parse_number(s.substr(0, sp), slot) || slots.size() == n) return false;
+    if (!parse_int(s.substr(0, sp), slot) || slots.size() == n) return false;
     slots.push_back(slot);
   }
   if (slots.size() != n) return false;

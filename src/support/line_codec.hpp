@@ -10,7 +10,6 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <string>
 #include <string_view>
 #include <type_traits>
@@ -50,18 +49,10 @@ std::string hex16(std::uint64_t v);
 /// `out` alone, for anything else.
 bool parse_hex16(std::string_view s, std::uint64_t& out);
 
-/// Reads the integer `s` spells into `out` (parse_int's rule); false,
-/// leaving `out` alone, when it spells none in T's range.
-template <typename T>
-bool parse_number(std::string_view s, T& out) {
-  const std::optional<T> v = parse_int<T>(s);
-  if (!v.has_value()) return false;
-  out = *v;
-  return true;
-}
-/// The same for a double: the whole of `s`, no '+' or whitespace, in
-/// double's range.
-bool parse_number(std::string_view s, double& out);
+/// Reads the double `s` spells into `out`, under parse_int's rule (the
+/// whole of `s`, no '+' or whitespace) and in double's range; false,
+/// leaving `out` alone, otherwise. Integers go through parse_int.
+bool parse_double(std::string_view s, double& out);
 
 /// Reads a slot list append_kv wrote into `out`. False, leaving `out`
 /// alone, when a number breaks the rule, the count exceeds `max_count`

@@ -11,6 +11,7 @@
 #include <string>
 #include <string_view>
 #include <system_error>
+#include <type_traits>
 
 namespace tms::support {
 
@@ -19,11 +20,22 @@ namespace tms::support {
 /// lies outside T's range.
 template <typename T>
 std::optional<T> parse_int(std::string_view text) {
+  static_assert(std::is_integral_v<T>, "parse_int reads integers only");
   T value{};
   const char* last = text.data() + text.size();
   const auto [end, ec] = std::from_chars(text.data(), last, value);
   if (text.empty() || ec != std::errc() || end != last) return std::nullopt;
   return value;
+}
+
+/// The same rule, storing into `out`: false, leaving `out` alone, when
+/// `text` spells no integer in T's range.
+template <typename T>
+bool parse_int(std::string_view text, T& out) {
+  const std::optional<T> v = parse_int<T>(text);
+  if (!v.has_value()) return false;
+  out = *v;
+  return true;
 }
 
 /// Stores the integer value of `flag` into `out`. Returns a one-line
@@ -32,11 +44,9 @@ std::optional<T> parse_int(std::string_view text) {
 template <typename T>
 std::optional<std::string> parse_int_flag(std::string_view flag, std::string_view value,
                                           T& out) {
-  const std::optional<T> v = parse_int<T>(value);
-  if (!v.has_value()) {
+  if (!parse_int(value, out)) {
     return std::string(flag) + ": '" + std::string(value) + "' is not an integer";
   }
-  out = *v;
   return std::nullopt;
 }
 

@@ -15,6 +15,7 @@
 #include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <limits>
 #include <numeric>
 #include <thread>
 #include <vector>
@@ -306,6 +307,42 @@ TEST(ScheduleCache, CorruptDiskEntriesAreRejected) {
   }
   EXPECT_EQ(cache.stats().disk_rejects, 2u + counts.size());
   EXPECT_EQ(cache.stats().misses, 2u + counts.size());
+}
+
+// The read buffer is sized from the file, not from the caller's
+// instruction count, which a PEEK query carries off the wire: a lookup
+// naming INT_MAX instructions reads the small file and rejects it.
+TEST(ScheduleCache, HugeInstructionCountAllocatesNothing) {
+  ScratchDir dir("hugecount");
+  {
+    driver::ScheduleCache writer(64, dir.path());
+    writer.insert(5, make_entry(4, 3));
+  }
+  driver::ScheduleCache cache(64, dir.path());
+  EXPECT_FALSE(cache.lookup(5, std::numeric_limits<int>::max()).has_value());
+  EXPECT_EQ(cache.stats().disk_rejects, 1u);
+  EXPECT_TRUE(cache.lookup(5, 3).has_value());
+  EXPECT_EQ(cache.stats().disk_hits, 1u);
+}
+
+// No file longer than the loop could use (4 KiB plus 12 bytes a slot)
+// is read. What follows `end` is never parsed, so padding after it
+// tells the two sides of the bound apart by length alone.
+TEST(ScheduleCache, FileLongerThanTheLoopCouldUseIsRejected) {
+  ScratchDir dir("overlong");
+  const driver::ScheduleCache::Entry e = make_entry(4, 3);
+  const std::size_t limit = 4096 + 12 * e.slots.size();
+  const auto write_padded = [&](std::uint64_t key, std::size_t length) {
+    const std::string text = driver::ScheduleCache::file_text(key, e);
+    std::ofstream out(cache_file(dir.path(), key), std::ios::binary);
+    out << text << std::string(length - text.size(), '#');
+  };
+  write_padded(5, limit);
+  write_padded(6, limit + 1);
+  driver::ScheduleCache cache(64, dir.path());
+  EXPECT_TRUE(cache.lookup(5, 3).has_value());
+  EXPECT_FALSE(cache.lookup(6, 3).has_value());
+  EXPECT_EQ(cache.stats().disk_rejects, 1u);
 }
 
 // A file whose slot count disagrees with the loop is a miss like any

@@ -152,10 +152,18 @@ TEST(PeekCodec, QueryRoundTrip) {
 }
 
 TEST(PeekCodec, MalformedQueryIsAnError) {
-  for (const char* bad : {"not-a-peek\n", "tmsq-peek-v1\nkey zz\n", ""}) {
+  // `instrs` is capped like a reply's slot list: a probe naming more
+  // instructions is refused before the cache sees it.
+  for (const char* bad : {"not-a-peek\n", "tmsq-peek-v1\nkey zz\n", "",
+                          "tmsq-peek-v1\nkey 0123456789abcdef\ninstrs 0\n",
+                          "tmsq-peek-v1\nkey 0123456789abcdef\ninstrs 1048577\n",
+                          "tmsq-peek-v1\nkey 0123456789abcdef\ninstrs 2147483647\n"}) {
     const auto parsed = serve::parse_peek(bad);
     EXPECT_NE(std::get_if<std::string>(&parsed), nullptr) << "accepted: " << bad;
   }
+  const auto at_cap = serve::parse_peek("tmsq-peek-v1\nkey 0123456789abcdef\ninstrs 1048576\n");
+  ASSERT_NE(std::get_if<serve::PeekQuery>(&at_cap), nullptr);
+  EXPECT_EQ(std::get<serve::PeekQuery>(at_cap).expect_instrs, 1 << 20);
 }
 
 TEST(PeekCodec, ReplyRoundTripHit) {

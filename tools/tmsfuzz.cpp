@@ -442,8 +442,9 @@ std::optional<std::string> run_frames_one(std::uint64_t seed) {
   }
 
   // Property 7: the PEEK peer-fill codec round-trips (query, hit reply,
-  // miss reply), and noise fed to either parser errors instead of
-  // crashing or fabricating a hit.
+  // miss reply), a query with one value replaced by a hostile token
+  // never names more instructions than the wire cap, and noise fed to
+  // either parser errors instead of crashing or fabricating a hit.
   {
     serve::PeekQuery q;
     q.key = rng.fork_seed();
@@ -452,6 +453,13 @@ std::optional<std::string> run_frames_one(std::uint64_t seed) {
     const auto* back = std::get_if<serve::PeekQuery>(&parsed);
     if (back == nullptr || back->key != q.key || back->expect_instrs != q.expect_instrs) {
       return std::string("peek query did not round-trip");
+    }
+    parsed = serve::parse_peek(mutate_one_value(serve::serialise_peek(q), rng));
+    if (const auto* mutated = std::get_if<serve::PeekQuery>(&parsed);
+        mutated != nullptr &&
+        (mutated->expect_instrs < 1 ||
+         static_cast<std::size_t>(mutated->expect_instrs) > serve::kMaxWireSlots)) {
+      return std::string("mutated peek query named an instruction count outside the wire cap");
     }
 
     std::optional<driver::ScheduleCache::Entry> entry;
